@@ -57,6 +57,7 @@ from .reptheory import (
     regular_character,
 )
 from .sonb import (
+    DEFAULT_ENUMERATION_CAP,
     FormSpace,
     enumerate_candidates,
     pairing_matrix,
@@ -355,6 +356,11 @@ def cmd_sonb(args) -> Report:
 
     if not space.modulus:
         raise CliError("integer spaces support --verify-basis only")
+    if space.total_vectors > DEFAULT_ENUMERATION_CAP:
+        raise CliError(
+            f"enumeration cap exceeded: {space.modulus}^{space.dimension} = "
+            f"{space.total_vectors} vectors > {DEFAULT_ENUMERATION_CAP}"
+        )
 
     symmetry = None
     if args.symmetry == "serre":

@@ -15,11 +15,21 @@ sum(x_i * p^i) -- coordinate 0 is the least significant digit -- so
 representatives and the first-found basis all follow this order.  With
 Serre symmetry enabled, only orbit representatives are tried in the first
 slot; this is sound because the operator preserves the pairing, so any
-basis can be translated to one starting at a representative.  Subtrees are
-independent after the first-slot choice, so first-slot candidates may be
-partitioned across workers with node counts summed and found bases merged
-by canonical order; the sequential implementation here is one such
-schedule and already deterministic.
+basis can be translated to one starting at a representative.
+
+Memo.  Each call keeps a table of failed states.  A state is the span V_k
+of the vectors placed so far, keyed by its reduced row echelon basis.  V_k
+alone fixes the subtree below it: the constraint kernel
+W_k = {x : (x, v) = 0 for all v in V_k} and its reduced basis, hence the
+order in which the next level is enumerated, the pairing filter and the
+dependence test all depend on nothing else.  The same span is reached once
+for every ordering of the same chosen vectors, and a revisited state that
+already failed is not walked again.  Only failed states are pruned, so the
+first basis in canonical order is unchanged.  The counters describe the
+full canonical proof tree: a memo hit credits the placements and
+rejections its subtree made when first walked, so ``placements`` equals
+the node count of the unpruned walk (``tests/oracles.brute_force_sonb``).
+The ``memo_hits`` stat counts the reused subtrees.
 
 Integer spaces (modulus 0) support verification of supplied bases and
 mutation, not open-ended search.
@@ -265,6 +275,12 @@ def search(
     Returns the first basis in canonical order, or an Exhausted result with
     the number of partial placements explored.  With symmetry, the first
     basis vector ranges over orbit representatives only.
+
+    Failed subtrees are memoized by the span of the vectors placed above
+    them and not walked twice.  ``nodes_explored`` and the placement and
+    rejection stats still count the full proof tree, crediting each reused
+    subtree with its counts, so they equal the unpruned walk's.  The
+    ``memo_hits`` stat is the number of subtrees reused.
     """
     p = space.modulus
     if not p:
@@ -284,13 +300,15 @@ def search(
     nodes = 0
     pairing_rejections = 0
     dependent_rejections = 0
-    echelon: list[tuple[int, tuple[int, ...]]] = []  # (pivot index, reduced row)
+    memo_hits = 0
+    # span of the chosen vectors (RREF rows by pivot) -> counts of its failed subtree
+    failed: dict[tuple, tuple[int, int, int]] = {}
     chosen: list[tuple[int, ...]] = []
     constraints: list[tuple[int, ...]] = []
 
-    def reduce_by_echelon(v):
+    def reduce_by(span, v):
         w = list(v)
-        for pc, row in echelon:
+        for pc, row in span:
             f = w[pc] % p
             if f:
                 for j in range(d):
@@ -312,38 +330,58 @@ def search(
                         v[j] = (v[j] + coef * bvec[j]) % p
             yield tuple(v)
 
-    def dfs() -> tuple[tuple[int, ...], ...] | None:
-        nonlocal nodes, pairing_rejections, dependent_rejections
+    def dfs(span) -> tuple[tuple[int, ...], ...] | None:
+        nonlocal nodes, pairing_rejections, dependent_rejections, memo_hits
         depth = len(chosen)
         if depth == d:
             return tuple(chosen)
+        if span in failed:
+            memo_hits += 1
+            dn, dpair, ddep = failed[span]
+            nodes += dn
+            pairing_rejections += dpair
+            dependent_rejections += ddep
+            return None
+        before = (nodes, pairing_rejections, dependent_rejections)
         for x in level_vectors(depth):
             if space.pair(x, x) != 1:
                 pairing_rejections += 1
                 continue
-            w = reduce_by_echelon(x)
+            w = reduce_by(span, x)
             pc = next((j for j in range(d) if w[j]), None)
             if pc is None:
                 dependent_rejections += 1
                 continue
             inv = pow(w[pc], -1, p)
-            echelon.append((pc, tuple(y * inv % p for y in w)))
+            row = tuple(y * inv % p for y in w)
+            # back-substitute the new row so the span stays in RREF
+            grown = [
+                (qc, tuple((a - q[pc] * b) % p for a, b in zip(q, row)) if q[pc] else q)
+                for qc, q in span
+            ]
+            grown.append((pc, row))
+            grown.sort()
             chosen.append(x)
             constraints.append(space.constraint_vector(x))
             nodes += 1
-            result = dfs()
+            result = dfs(tuple(grown))
             if result is not None:
                 return result
-            echelon.pop()
             chosen.pop()
             constraints.pop()
+        failed[span] = (
+            nodes - before[0],
+            pairing_rejections - before[1],
+            dependent_rejections - before[2],
+        )
         return None
 
-    basis = dfs()
+    basis = dfs(())
     stats = (
         ("placements", nodes),
         ("pairing_rejections", pairing_rejections),
         ("dependent_rejections", dependent_rejections),
+        ("memo_hits", memo_hits),
     )
     return SearchResult(basis, nodes, stats)
 

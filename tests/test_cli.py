@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import semiortho
 from semiortho import dump_records, load_default
 from semiortho.cli import main, parse_polynomial
 
@@ -113,6 +117,21 @@ def test_sonb_raw_matrix_and_verify_basis():
     )
     assert code == 0
     assert "check.basis_verified=PASS" in out
+
+
+def test_sonb_enumeration_cap_is_a_usage_error():
+    # a fresh process, so an uncaught exception would show as a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(semiortho.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiortho.cli", "sonb", "--profile", "pn:20",
+         "--mod", "7", "--format", "machine"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: enumeration cap exceeded")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_lefschetz_command():

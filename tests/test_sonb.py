@@ -169,18 +169,50 @@ def test_wilson_mod_7_agrees_with_oracle():
 
 
 def test_random_forms_agree_with_oracle_smoke():
+    # The memoized search must credit every reused subtree: its node count
+    # equals the unpruned oracle's on Found and Exhausted forms alike.
+    # p = 5 stops at d = 3 because the oracle needs seconds per d = 4 form.
     rng = random.Random(2024)
-    for p in (2, 3):
-        for _ in range(8):
-            d = rng.randrange(2, 5)
+    for p, max_d in ((2, 4), (3, 4), (5, 3)):
+        outcomes = set()
+        for _ in range(20):
+            d = rng.randrange(2, max_d + 1)
             rows = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
             space = FormSpace(d, p, rows)
-            oracle_basis, _, _ = brute_force_sonb(rows, p, d)
+            oracle_basis, oracle_nodes, _ = brute_force_sonb(rows, p, d)
             result = search(space)
-            assert (oracle_basis is None) == result.exhausted
+            assert result.basis == oracle_basis
+            assert result.nodes_explored == oracle_nodes
             if result.found:
-                assert result.basis == oracle_basis
                 assert verify_semi_orthonormal(space, result.basis)
+            outcomes.add(result.found)
+        assert outcomes == {True, False}
+
+
+def test_fixed_instance_search_stats():
+    space, op = wilson_space()
+    flipped = FormSpace(5, 2, tuple(zip(*space.form)))
+    rng = random.Random(1003)  # the slowest form of acceptance criterion 4
+    d = rng.randrange(2, 6)
+    slowest = FormSpace(d, 3, tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d)))
+    expected = (
+        (search(space), (204, 839, 0)),
+        (search(flipped), (204, 839, 0)),
+        (search(space, symmetry=op), (32, 130, 0)),
+        (search(slowest), (11412, 114470, 0)),
+    )
+    for result, counts in expected:
+        assert result.exhausted
+        assert result.stats[:3] == tuple(
+            zip(("placements", "pairing_rejections", "dependent_rejections"), counts)
+        )
+        assert result.nodes_explored == counts[0]
+
+
+def test_memo_hits_reported():
+    space, _ = wilson_space()
+    assert search(space).stat("memo_hits") > 0
+    assert search(pn_space(2, 2)).stat("memo_hits") == 0
 
 
 def test_symmetry_outcome_matches_plain_search():

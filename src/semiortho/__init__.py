@@ -9,7 +9,7 @@ and verifies the headline computations end to end.
 
 from .intpoly import IntValuedPolynomial, eval_poly
 from .exactmat import ExactMatrix, determinant, matrix_order, lattice_index_squared
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity, exact_divide
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
 from .eulerform import (
     EQUIVARIANT_ROWS,
     EquivariantRow,
@@ -17,6 +17,7 @@ from .eulerform import (
     HilbertProfile,
     SerreOperator,
     chern_identity,
+    conjugacy_class_count,
     equivariant_count_check,
     fake_projective_space,
     gram_from_twists,

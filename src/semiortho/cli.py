@@ -21,6 +21,7 @@ from .eulerform import (
     EQUIVARIANT_ROWS,
     GramMatrix,
     HilbertProfile,
+    conjugacy_class_count,
     equivariant_count_check,
     fake_projective_space,
     gram_from_twists,
@@ -212,14 +213,12 @@ def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
         raise CliError(f"bad vector list: {exc}") from exc
 
 
+_ALIASES = {B: "b", B_BAR: "bbar"}  # both in Q(zeta_21)
+
+
 def _cyc_str(x: Cyclotomic) -> str:
-    aliases = {
-        tuple(B.lift_to(21).coeffs): "b",
-        tuple(B_BAR.lift_to(21).coeffs): "bbar",
-    }
     if x.n in (7, 21):
-        lifted = x.lift_to(21)
-        alias = aliases.get(tuple(lifted.coeffs))
+        alias = _ALIASES.get(x.lift_to(21))
         if alias:
             return f"{x} [= {alias}]"
     return str(x)
@@ -724,11 +723,11 @@ def _reproduce_equivariant(report: Report) -> None:
             ok,
             f"3*{row.irrep_count} = {row.euler_char} + {row.r_g}",
         )
-        hh = orbifold_hh_dimension(row.irrep_count)
+        classes = conjugacy_class_count(row.group)
         report.add_check(
             f"orbifold_dimension.{row.group}",
-            hh == 3 * row.irrep_count,
-            f"orbifold cohomology dimension {hh}",
+            classes == row.irrep_count,
+            f"orbifold cohomology dimension {orbifold_hh_dimension(classes)}",
         )
     report.add_note(
         "each equivariant category carries 3 * #irreducibles exceptional "

@@ -1,21 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored as coefficient vectors in the power basis
-1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th cyclotomic
-polynomial.  Equality is coefficient-wise on this canonical form, so it is
-decidable and exact.  Division rationalizes by the product of all
-nontrivial Galois conjugates of the denominator (whose product with the
-denominator is the rational field norm).
-
-Conductors stay small here (3, 7, 21), so the dense representation is the
-simple and fast choice.
+An element is an integer vector in the power basis 1, zeta, ...,
+zeta^(phi(n)-1) over one positive common denominator, in lowest terms, so
+equality compares a canonical form; ``coeffs`` gives the rational values.
+Reduction uses one integral table per conductor, the rows x^k mod Phi_n
+(monic) for k < n: a wide vector is folded by taking indices mod n
+(zeta^n = 1), then adding each entry at k >= phi(n) through its row.
+Products are schoolbook integer products and a fold.  Division multiplies by
+the nontrivial Galois conjugates, whose product with the divisor is its norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -25,63 +24,79 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, constant term first.
-
-    Computed as (x^n - 1) divided by the product of Phi_d over proper
-    divisors d of n; all divisions are exact over Z.
-    """
+    """Integer coefficients of Phi_n, constant term first: (x^n - 1) divided
+    by Phi_d for every proper divisor d of n, each division exact over Z."""
     if n < 1:
         raise ValueError("conductor must be positive")
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_polydiv(poly, list(cyclotomic_polynomial(d)))
+        if n % d == 0:  # divide by the monic Phi_d
+            den = cyclotomic_polynomial(d)
+            quotient = [0] * (len(poly) - len(den) + 1)
+            for i in reversed(range(len(quotient))):
+                q = quotient[i] = poly[i + len(den) - 1]
+                for j, c in enumerate(den):
+                    poly[i + j] -= q * c
+            if any(poly):
+                raise ArithmeticError("nonzero remainder in cyclotomic division")
+            poly = quotient
     return tuple(poly)
 
 
-def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[len(den) - 1 + i]
-        q, r = divmod(c, den[-1])
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i] = q
-        for j, dc in enumerate(den):
-            num[i + j] -= q * dc
-    if any(num):
-        raise ArithmeticError("nonzero remainder in cyclotomic division")
+@lru_cache(maxsize=None)
+def _table(n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi(n), rows): the nonzero (j, c_j) of x^k mod Phi_n, phi(n) <= k < n."""
+    ph = cyclotomic_polynomial(n)
+    d = len(ph) - 1
+    rows, row = [], [0] * (d - 1) + [1]  # x^(d-1)
+    for _ in range(d, n):
+        top = row[-1]
+        row = [-top * ph[0]] + [c - top * p for c, p in zip(row, ph[1:d])]
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+    return d, tuple(rows)
+
+
+def _fold(n: int, wide: list[int]) -> list[int]:
+    """Reduce an integer vector of any length modulo Phi_n."""
+    d, rows = _table(n)
+    v = wide[:n] + [0] * (n - len(wide))
+    for i, c in enumerate(wide[n:]):
+        v[i % n] += c
+    out = v[:d]
+    for c, row in zip(v[d:], rows):
+        if c:
+            for j, t in row:
+                out[j] += c * t
     return out
 
 
-def _reduce(coeffs, n: int) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list (any length) modulo Phi_n."""
-    ph = cyclotomic_polynomial(n)
-    d = len(ph) - 1
-    cs = [Fraction(c) for c in coeffs]
-    for i in range(len(cs) - 1, d - 1, -1):
-        c = cs[i]
-        if c == 0:
-            continue
-        cs[i] = Fraction(0)
-        for j in range(d):
-            cs[i - d + j] -= c * ph[j]
-    cs += [Fraction(0)] * (d - len(cs))
-    return tuple(cs[:d])
+def _make(n: int, num: list[int], den: int, self=None) -> "Cyclotomic":
+    """The element num/den (den > 0) in lowest terms, set on ``self`` if given."""
+    g = gcd(den, *num)
+    self = object.__new__(Cyclotomic) if self is None else self
+    object.__setattr__(self, "n", n)
+    object.__setattr__(self, "_num", tuple(c // g for c in num) if g != 1 else tuple(num))
+    object.__setattr__(self, "_den", den // g)
+    return self
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in reduced power-basis form."""
+    """An element of Q(zeta_n): ``_num / _den`` in the reduced power basis."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, coeffs):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "coeffs", _reduce(coeffs, int(n)))
+        n = int(n)
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        _make(n, _fold(n, [c.numerator * (den // c.denominator) for c in cs]), den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     # -- constructors -----------------------------------------------------
 
@@ -100,35 +115,31 @@ class Cyclotomic:
     # -- predicates and coercion -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def is_integer_value(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.is_rational() and self._den == 1
 
     def lift_to(self, m: int) -> "Cyclotomic":
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n = zeta_m^(m/n); needs n | m."""
         if m % self.n:
             raise ValueError(f"{self.n} does not divide {m}")
-        step = m // self.n
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return Cyclotomic(m, out)
+        wide = [0] * m
+        wide[::m // self.n] = self._num + (0,) * (self.n - len(self._num))
+        return _make(m, _fold(m, wide), self._den)
 
     def _coerce(self, other) -> "Cyclotomic | None":
         if isinstance(other, Cyclotomic):
             if other.n != self.n:
-                raise ValueError(
-                    f"conductor mismatch: {self.n} vs {other.n}; lift explicitly"
-                )
+                raise ValueError(f"conductor mismatch: {self.n} vs {other.n}; lift explicitly")
             return other
         if isinstance(other, (int, Fraction)):
             return Cyclotomic.rational(self.n, other)
@@ -140,18 +151,20 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.n, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        den = lcm(self._den, o._den)
+        a, b = den // self._den, den // o._den
+        return _make(self.n, [a * x + b * y for x, y in zip(self._num, o._num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, [-c for c in self.coeffs])
+        return _make(self.n, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.n, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + -o
 
     def __rsub__(self, other):
         return -(self - other)
@@ -160,14 +173,14 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Cyclotomic(self.n, out)
+        # a rational factor goes in the outer loop, which skips zero terms
+        x, y = (self._num, o._num) if any(o._num[1:]) else (o._num, self._num)
+        out = [0] * (2 * len(x) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    out[j] += a * b
+        return _make(self.n, _fold(self.n, out), self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -175,22 +188,18 @@ class Cyclotomic:
         if e < 0:
             return self.inverse() ** (-e)
         acc = Cyclotomic.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
+        for bit in bin(e)[2:]:
+            acc = acc * acc * self if bit == "1" else acc * acc
         return acc
 
     def galois(self, k: int) -> "Cyclotomic":
         """Apply the automorphism zeta -> zeta^k; k must be coprime to n."""
         if gcd(k, self.n) != 1:
             raise ValueError(f"{k} is not coprime to {self.n}")
-        out = [Fraction(0)] * self.n
-        for i, c in enumerate(self.coeffs):
-            out[(i * k) % self.n] += c
-        return Cyclotomic(self.n, out)
+        wide = [0] * self.n
+        for i, c in enumerate(self._num):
+            wide[i * k % self.n] = c
+        return _make(self.n, _fold(self.n, wide), self._den)
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self.n - 1)
@@ -202,8 +211,7 @@ class Cyclotomic:
         for k in range(2, self.n):
             if gcd(k, self.n) == 1:
                 prod = prod * self.galois(k)
-        norm = (self * prod).as_rational()
-        return Cyclotomic(self.n, [c / norm for c in prod.coeffs])
+        return prod * (1 / (self * prod).as_rational())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -221,10 +229,10 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and Fraction(self._num[0], self._den) == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash((self.n, self.coeffs))
@@ -242,12 +250,8 @@ class Cyclotomic:
                 continue
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
             power = f"z{self.n}" if i == 1 else f"z{self.n}^{i}"
-            if not terms:
-                sign = "-" if c < 0 else ""
-                terms.append(f"{sign}{mag}{power}")
-            else:
-                sign = "- " if c < 0 else "+ "
-                terms.append(f"{sign}{mag}{power}")
+            sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
+            terms.append(f"{sign}{mag}{power}")
         return " ".join(terms) if terms else "0"
 
     def __repr__(self):
@@ -256,9 +260,4 @@ class Cyclotomic:
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in reduced power-basis form (k taken mod n)."""
-    k %= n
-    return Cyclotomic(n, [0] * k + [1])
-
-
-def exact_divide(numerator: Cyclotomic, denominator: Cyclotomic) -> Cyclotomic:
-    return numerator / denominator
+    return _make(n, _fold(n, [0] * (k % n) + [1]), 1)

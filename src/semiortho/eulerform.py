@@ -22,6 +22,7 @@ from math import factorial
 
 from .exactmat import ExactMatrix, is_prime
 from .intpoly import IntValuedPolynomial
+from .reptheory import conjugacy_classes
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,22 @@ EQUIVARIANT_ROWS: tuple[EquivariantRow, ...] = (
 def equivariant_count_check(row: EquivariantRow) -> bool:
     """3 * #irreducibles == euler characteristic of resolution + r_g."""
     return 3 * row.irrep_count == row.euler_char + row.r_g
+
+
+def conjugacy_class_count(group: str) -> int:
+    """Number of conjugacy classes of an equivariant row's group, from the group.
+
+    G21's classes come from conjugation-orbit enumeration.  The trivial group
+    and Z/k are abelian, so every element is its own class and the count is
+    the group order.
+    """
+    if group == "G21":
+        return len(conjugacy_classes())
+    if group == "1":
+        return 1
+    if group.startswith("Z/"):
+        return int(group[2:])
+    raise ValueError(f"no conjugacy class count for group {group!r}")
 
 
 def orbifold_hh_dimension(conjugacy_class_count: int) -> int:

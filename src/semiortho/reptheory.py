@@ -22,8 +22,10 @@ from .cyclotomic import Cyclotomic, root_of_unity
 
 _N = 21
 
+_XI_POWER = 3  # xi = zeta_21^3
+
 OMEGA = root_of_unity(_N, 7)
-XI = root_of_unity(_N, 3)
+XI = root_of_unity(_N, _XI_POWER)
 B = XI + XI**2 + XI**4
 B_BAR = B.conjugate()
 
@@ -190,41 +192,20 @@ def _zero3():
     return Cyclotomic.zero(_N)
 
 
-def _mat_mul(x, y):
-    return tuple(
-        tuple(
-            sum((x[i][k] * y[k][j] for k in range(3)), _zero3())
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def _mat_pow(m, e):
-    acc = tuple(
-        tuple(Cyclotomic.one(_N) if i == j else _zero3() for j in range(3))
-        for i in range(3)
-    )
-    for _ in range(e):
-        acc = _mat_mul(acc, m)
-    return acc
-
-
 def v3_matrix(element: GroupElement, conjugate: bool = False):
-    """Monomial matrix of the three-dimensional representation at an element."""
-    xi = XI.conjugate() if conjugate else XI
-    rho_s = (
-        (xi, _zero3(), _zero3()),
-        (_zero3(), xi**2, _zero3()),
-        (_zero3(), _zero3(), xi**4),
+    """Monomial matrix of the three-dimensional representation at an element.
+
+    rho(t^a s^u) = P^a diag(xi^u, xi^2u, xi^4u), where P is the cyclic
+    permutation e_j -> e_(j+1) and xi is replaced by its conjugate when
+    ``conjugate`` is set; entry (i, j) is nonzero exactly when i = j + a mod 3.
+    """
+    step = -_XI_POWER if conjugate else _XI_POWER
+    diagonal = [root_of_unity(_N, step * element.u * 2**j) for j in range(3)]
+    zero = _zero3()
+    return tuple(
+        tuple(diagonal[j] if i == (j + element.a) % 3 else zero for j in range(3))
+        for i in range(3)
     )
-    one = Cyclotomic.one(_N)
-    rho_t = (
-        (_zero3(), _zero3(), one),
-        (one, _zero3(), _zero3()),
-        (_zero3(), one, _zero3()),
-    )
-    return _mat_mul(_mat_pow(rho_t, element.a), _mat_pow(rho_s, element.u))
 
 
 def _trace3(m) -> Cyclotomic:

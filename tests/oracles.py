@@ -2,8 +2,9 @@
 
 Nothing here shares an algorithm with the package: determinants come from
 cofactor expansion, the basis search is plain enumeration over candidate
-tuples with the defining conditions checked directly, and integrality is
-checked by evaluation.
+tuples with the defining conditions checked directly, integrality is
+checked by evaluation, and Q(zeta_n) arithmetic is Fraction long division by
+a Phi_n built from the Moebius product, with inverses from a linear solve.
 """
 
 from fractions import Fraction
@@ -101,3 +102,107 @@ def random_int_valued_poly(rng, degree):
     coeffs = [rng.randrange(-9, 10) for _ in range(degree)]
     coeffs.append(rng.choice([c for c in range(-9, 10) if c]))
     return IntValuedPolynomial.from_binomial(coeffs)
+
+
+# -- Q(zeta_n): Fraction polynomials, constant term first --------------------
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num, den):
+    """Long division over Fraction; returns (quotient, remainder)."""
+    num = [Fraction(c) for c in num]
+    while len(den) > 1 and den[-1] == 0:
+        den = den[:-1]
+    quotient = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    for i in range(len(num) - len(den), -1, -1):
+        q = num[i + len(den) - 1] / den[-1]
+        quotient[i] = q
+        for j, c in enumerate(den):
+            num[i + j] -= q * c
+    return quotient, num[: len(den) - 1]
+
+
+def _moebius(m):
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def phi_oracle(n):
+    """Phi_n as the product of (x^d - 1)^mu(n/d) over the divisors d of n."""
+    top, bottom = [Fraction(1)], [Fraction(1)]
+    for d in range(1, n + 1):
+        if n % d == 0 and _moebius(n // d):
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            if _moebius(n // d) == 1:
+                top = _poly_mul(top, factor)
+            else:
+                bottom = _poly_mul(bottom, factor)
+    quotient, remainder = _poly_divmod(top, bottom)
+    assert not any(remainder)
+    return quotient[: len(top) - len(bottom) + 1]
+
+
+def cyc_reduce(coeffs, n):
+    """Coefficients (any length, any Fraction() input) reduced modulo Phi_n."""
+    phi = phi_oracle(n)
+    coeffs = [Fraction(c) for c in coeffs] + [Fraction(0)] * len(phi)
+    return tuple(_poly_divmod(coeffs, phi)[1])
+
+
+def cyc_mul(x, y, n):
+    return cyc_reduce(_poly_mul(list(x), list(y)), n)
+
+
+def cyc_substitute(x, step, m):
+    """Image of sum c_i zeta^i under zeta -> zeta_m^step, reduced modulo Phi_m."""
+    out = [Fraction(0)] * (step * len(x) + 1)
+    for i, c in enumerate(x):
+        out[i * step] += c
+    return cyc_reduce(out, m)
+
+
+def cyc_inverse(x, n):
+    """Solve x * y = 1 as a linear system over Q (Gauss-Jordan)."""
+    d = len(x)
+    unit = [Fraction(int(i == j)) for i in range(d) for j in range(d)]
+    columns = [cyc_mul(x, unit[j * d:(j + 1) * d], n) for j in range(d)]
+    rows = [[columns[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return tuple(row[-1] for row in rows)
+
+
+def cyc_str(x, n):
+    """The printed form: nonzero terms in increasing power, "a/b*zN^i"."""
+    parts = []
+    for i, c in enumerate(x):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+            continue
+        body = ("" if abs(c) == 1 else f"{abs(c)}*") + (f"z{n}" if i == 1 else f"z{n}^{i}")
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append(("-" if c < 0 else "") + body)
+    return " ".join(parts) or "0"

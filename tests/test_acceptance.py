@@ -16,6 +16,7 @@ from semiortho import (
     character_table,
     class_sizes,
     classify_h0,
+    conjugacy_class_count,
     conjugate_branch,
     default_branch,
     dump_records,
@@ -193,6 +194,7 @@ def test_criterion_7_equivariant_counting():
     for row in EQUIVARIANT_ROWS:
         ok = ok and equivariant_count_check(row)
         ok = ok and orbifold_hh_dimension(row.irrep_count) == 3 * row.irrep_count
+        ok = ok and conjugacy_class_count(row.group) == row.irrep_count
     report(7, "equivariant-counting", ok, 0.1, time.perf_counter() - start)
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,19 @@ def run_cli(*argv):
     finally:
         sys.stdout = old
     return code, out.getvalue()
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["commands"], ids=[" ".join(e["argv"]) for e in GOLDEN["commands"]]
+)
+def test_readme_example_matches_golden(entry):
+    # error_paths are not replayed: they record defects, not the contract
+    assert run_cli(*entry["argv"]) == (entry["exit"], entry["stdout"])
 
 
 def test_gram_wilson_mod_2():
@@ -246,6 +260,19 @@ def test_reproduce_equivariant():
     assert code == 0
     assert "check.count_identity.G21=PASS" in out
     assert "check.orbifold_dimension.Z/7=PASS" in out
+
+
+def test_orbifold_dimension_fails_on_a_wrong_irrep_count(monkeypatch):
+    import semiortho.cli as cli
+    from semiortho.eulerform import EquivariantRow
+
+    # 3*6 = 12 + 6 keeps the count identity, but Z/7 has 7 classes, not 6
+    wrong = EquivariantRow("Z/7", 6, ("1/7(1,3)",) * 3, 6, 12, 1)
+    monkeypatch.setattr(cli, "EQUIVARIANT_ROWS", (wrong,))
+    code, out = run_cli("reproduce", "equivariant", "--format", "machine")
+    assert code == 1
+    assert "check.count_identity.Z/7=PASS" in out
+    assert "check.orbifold_dimension.Z/7=FAIL" in out
 
 
 def test_reproduce_outputs_are_deterministic():

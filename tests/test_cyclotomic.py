@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
-from semiortho import Cyclotomic, cyclotomic_polynomial, exact_divide, root_of_unity
+from semiortho import Cyclotomic, cyclotomic_polynomial, root_of_unity
+
+from oracles import cyc_inverse, cyc_mul, cyc_reduce, cyc_str, cyc_substitute
 
 
 def rand_elt(rng, n, allow_zero=True):
@@ -94,7 +96,7 @@ def test_divide_then_multiply_round_trip():
         n = rng.choice((7, 21))
         a = rand_elt(rng, n)
         b = rand_elt(rng, n, allow_zero=False)
-        assert exact_divide(a * b, b) == a
+        assert (a * b) / b == a
 
 
 def test_inverse_sum_over_galois_orbit():
@@ -147,3 +149,53 @@ def test_rational_detection():
 def test_power_negative_exponent():
     z = root_of_unity(7, 3)
     assert z**-1 == root_of_unity(7, 4)
+
+
+def _random_input(rng, n):
+    """Coefficients as ints, Fractions (some with negative denominators) and
+    strings, sometimes longer than n, together with their Fraction values."""
+    raw = []
+    for _ in range(rng.choice((0, 1, n, 2 * n + 3, rng.randrange(1, 3 * n + 2)))):
+        num, den = rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, -4, -5))
+        kind = rng.randrange(4)
+        if kind == 0:
+            raw.append(num)
+        elif kind == 1:
+            raw.append(Fraction(num, den))
+        elif kind == 2:
+            raw.append(f"{num}/{abs(den)}")
+        else:
+            raw.append(str(num) if rng.randrange(2) else 0)
+    return raw, [Fraction(c) for c in raw]
+
+
+def test_arithmetic_against_independent_oracle():
+    rng = random.Random(2024)
+    for n in (1, 3, 7, 21):
+        ks = [k for k in range(1, max(n, 2)) if gcd(k, n) == 1]
+        for _ in range(12 if n == 21 else 25):
+            (xr, xv), (yr, yv) = _random_input(rng, n), _random_input(rng, n)
+            x, y = Cyclotomic(n, xr), Cyclotomic(n, yr)
+            xo, yo = cyc_reduce(xv, n), cyc_reduce(yv, n)
+            assert type(x.coeffs) is tuple
+            assert all(type(c) is Fraction for c in x.coeffs)
+            assert x.coeffs == xo and y.coeffs == yo
+            assert str(x) == cyc_str(xo, n)
+            assert hash(x) == hash((n, xo))
+            assert (x * y).coeffs == cyc_mul(xo, yo, n)
+            if not y.is_zero():
+                assert y.inverse().coeffs == cyc_inverse(yo, n)
+            k = rng.choice(ks)
+            assert x.galois(k).coeffs == cyc_substitute(xo, k, n)
+            m = n * rng.choice((1, 2, 3))
+            assert x.lift_to(m).coeffs == cyc_substitute(xo, m // n, m)
+
+
+def test_long_and_string_inputs_reduce_like_the_oracle():
+    assert Cyclotomic(7, [0] * 13 + [1]) == root_of_unity(7, 6)
+    assert Cyclotomic(7, [0] * 13 + [1]).coeffs == cyc_reduce([0] * 13 + [1], 7)
+    x = Cyclotomic(21, ["3/2", Fraction(5, -4), -2] + [0] * 40 + ["7"])
+    assert x.coeffs == cyc_reduce(["3/2", Fraction(5, -4), -2] + [0] * 40 + ["7"], 21)
+    assert Cyclotomic(3, ["3/2"]) == Fraction(3, 2)
+    assert str(Cyclotomic(7, ["-1/2", 0, Fraction(6, -4)])) == "-1/2 - 3/2*z7^2"
+    assert str(Cyclotomic(7, [0, "-1", 0, 0, 0, 0, 0, 0, 0, 2])) == "-z7 + 2*z7^2"

@@ -7,6 +7,7 @@ from semiortho import (
     EquivariantRow,
     ExactMatrix,
     chern_identity,
+    conjugacy_class_count,
     equivariant_count_check,
     fake_projective_space,
     gram_from_twists,
@@ -197,6 +198,13 @@ def test_equivariant_table_identity():
     for row in EQUIVARIANT_ROWS:
         assert equivariant_count_check(row)
         assert orbifold_hh_dimension(row.irrep_count) == 3 * row.irrep_count
+        assert conjugacy_class_count(row.group) == row.irrep_count
+
+
+def test_conjugacy_class_count():
+    assert [conjugacy_class_count(g) for g in ("1", "Z/3", "Z/7", "G21")] == [1, 3, 7, 5]
+    with pytest.raises(ValueError):
+        conjugacy_class_count("S3")
 
 
 def test_equivariant_rows_data():

@@ -116,10 +116,31 @@ def test_v3_matrices_satisfy_presentation():
     def mat_eq(x, y):
         return all(x[i][j] == y[i][j] for i in range(3) for j in range(3))
 
-    for g, h in product(all_elements()[:7], repeat=2):
-        assert mat_eq(v3_matrix(g * h), _mul3(v3_matrix(g), v3_matrix(h)))
+    for conjugate in (False, True):
+        for g, h in product(all_elements(), repeat=2):
+            assert mat_eq(
+                v3_matrix(g * h, conjugate),
+                _mul3(v3_matrix(g, conjugate), v3_matrix(h, conjugate)),
+            )
     sigma_m = v3_matrix(SIGMA)
     assert sigma_m[0][0] == XI and sigma_m[1][1] == XI**2 and sigma_m[2][2] == XI**4
+
+
+def test_v3_matrix_equals_generator_product():
+    # rho(t^a s^u) = rho_t^a rho_s^u, built here by generic 3x3 products
+    zero, one = Cyclotomic.zero(21), Cyclotomic.one(21)
+    identity = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    rho_t = ((zero, zero, one), (one, zero, zero), (zero, one, zero))
+    for conjugate in (False, True):
+        xi = XI.conjugate() if conjugate else XI
+        rho_s = ((xi, zero, zero), (zero, xi**2, zero), (zero, zero, xi**4))
+        for g in all_elements():
+            expected = identity
+            for _ in range(g.a):
+                expected = _mul3(expected, rho_t)
+            for _ in range(g.u):
+                expected = _mul3(expected, rho_s)
+            assert v3_matrix(g, conjugate) == expected
 
 
 def _mul3(x, y):

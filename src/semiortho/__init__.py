@@ -7,8 +7,8 @@ fake projective planes -- all in exact arithmetic, with a CLI that replays
 and verifies the headline computations end to end.
 """
 
-from .intpoly import IntValuedPolynomial, eval_poly
-from .exactmat import ExactMatrix, determinant, matrix_order, lattice_index_squared
+from .intpoly import IntValuedPolynomial
+from .exactmat import ExactMatrix, matrix_order, lattice_index_squared
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
 from .eulerform import (
     EQUIVARIANT_ROWS,

@@ -269,6 +269,10 @@ def cmd_gram(args) -> Report:
 
 def cmd_detcheck(args) -> Report:
     report = Report("detcheck")
+    if args.sample < 0:
+        raise CliError("--sample must be nonnegative")
+    if args.sample and args.max_degree < 1:
+        raise CliError("--max-degree must be positive")
     if args.sample:
         rng = random.Random(args.seed)
         report.add_input("sample", args.sample)
@@ -469,10 +473,12 @@ def _parse_combo(text: str):
     terms = []
     sign = 1
     buf = ""
-    for ch in tokens + "+":
+    for i, ch in enumerate(tokens + "+"):
         if ch in "+-":
             if buf:
                 terms.append((sign, buf))
+            elif i:
+                raise CliError(f"empty term in character expression {text!r}")
             sign = 1 if ch == "+" else -1
             buf = ""
         else:
@@ -481,7 +487,10 @@ def _parse_combo(text: str):
     for sgn, term in terms:
         if "*" in term:
             mult, name = term.split("*", 1)
-            k = int(mult)
+            try:
+                k = int(mult)
+            except ValueError:
+                raise CliError(f"bad multiplicity {mult!r} in {text!r}") from None
         else:
             k, name = 1, term
         out.append((sgn * k, name))
@@ -531,6 +540,8 @@ def cmd_atlas(args) -> Report:
         records = atlas_mod.load_records(path)
     except FileNotFoundError as exc:
         raise CliError(f"dataset not found: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read dataset: {exc}") from exc
     except atlas_mod.AtlasError as exc:
         raise CliError(str(exc)) from exc
 

@@ -1,9 +1,11 @@
-"""Exact square matrices over Q or F_p.
+"""Exact square matrices over Q or F_p, and one elimination routine.
 
-Determinants are computed fraction-free: Bareiss elimination over the
-integers (denominators are cleared row by row first when entries are
-rational), ordinary pivoted elimination over F_p.  No floating point
-anywhere.
+``rref`` is the single Gauss-Jordan reduction, over F_p (p prime) or Q
+(p = 0); ranks, nullspaces, inverses and determinants mod p are read off
+its output.  Determinants over Q are computed fraction-free instead, by
+Bareiss elimination over the integers after clearing denominators row by
+row, since its intermediate entries stay bounded by minors.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ class ExactMatrix:
     def determinant(self):
         """Exact determinant: int mod p, Fraction in characteristic zero."""
         if self.modulus:
-            return _det_mod_p(self.rows, self.modulus)
+            _, pivots, det = rref(self.rows, self.size, self.modulus)
+            return det if len(pivots) == self.size else 0
         scale = Fraction(1)
         int_rows = []
         for r in self.rows:
@@ -138,36 +141,12 @@ class ExactMatrix:
 
     def inverse(self) -> "ExactMatrix":
         n = self.size
-        p = self.modulus
-        if p:
-            aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-                   for i, r in enumerate(self.rows)]
-            for col in range(n):
-                piv = next((i for i in range(col, n) if aug[i][col] % p), None)
-                if piv is None:
-                    raise ValueError("matrix is singular")
-                aug[col], aug[piv] = aug[piv], aug[col]
-                inv = pow(aug[col][col], -1, p)
-                aug[col] = [x * inv % p for x in aug[col]]
-                for i in range(n):
-                    if i != col and aug[i][col]:
-                        f = aug[i][col]
-                        aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[col])]
-            return ExactMatrix([r[n:] for r in aug], p)
-        aug = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
                for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return ExactMatrix([r[n:] for r in aug], 0)
+        reduced, pivots, _ = rref(aug, 2 * n, self.modulus)
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        return ExactMatrix([r[n:] for r in reduced], self.modulus)
 
     def is_identity(self) -> bool:
         one = 1 % self.modulus if self.modulus else 1
@@ -181,6 +160,48 @@ class ExactMatrix:
         body = "; ".join(",".join(str(x) for x in r) for r in self.rows)
         tag = f", mod {self.modulus}" if self.modulus else ""
         return f"ExactMatrix([{body}]{tag})"
+
+
+def rref(rows, ncols: int, p: int):
+    """Reduced row echelon form over F_p (p prime) or Q (p = 0).
+
+    Entries are reduced mod p, or made Fractions when p = 0.  Returns the
+    nonzero reduced rows, their pivot columns in increasing order, and the
+    product of the pivots times the sign of the row swaps, which for a
+    square matrix of full rank is its determinant.
+    """
+    if p:
+        m = [[x % p for x in r] for r in rows]
+    else:
+        m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    scale = 1
+    for col in range(ncols):
+        r = len(pivots)
+        for piv in range(r, len(m)):
+            if m[piv][col]:
+                break
+        else:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = -scale
+        lead = m[r][col]
+        scale *= lead
+        if p:
+            inv = pow(lead, -1, p)
+            row = m[r] = [x * inv % p for x in m[r]]
+        else:
+            row = m[r] = [x / lead for x in m[r]]
+        for i, other in enumerate(m):
+            f = other[col]
+            if f and i != r:
+                m[i] = (
+                    [(x - f * y) % p for x, y in zip(other, row)]
+                    if p else [x - f * y for x, y in zip(other, row)]
+                )
+        pivots.append(col)
+    return m[: len(pivots)], pivots, scale % p if p else scale
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -207,32 +228,6 @@ def _det_bareiss(m: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _det_mod_p(rows, p: int) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1 % p
-    m = [list(r) for r in rows]
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[col])]
-    return det % p
-
-
-def determinant(matrix: ExactMatrix):
-    return matrix.determinant()
 
 
 def matrix_order(matrix: ExactMatrix, bound: int | None = None) -> int | None:

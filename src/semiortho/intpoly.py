@@ -192,8 +192,3 @@ def _mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def eval_poly(polynomial: IntValuedPolynomial, k: int) -> int:
-    """Exact integer value of the polynomial at k."""
-    return polynomial(k)

@@ -38,10 +38,9 @@ mutation, not open-ended search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .eulerform import GramMatrix, SerreOperator
-from .exactmat import ExactMatrix, is_prime
+from .exactmat import ExactMatrix, is_prime, rref
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -238,29 +237,15 @@ class SearchResult:
 
 def _nullspace_basis(constraints, d: int, p: int):
     """Reduced basis of {x : x . w = 0 for all w}, ordered by free column."""
-    rows = [list(w) for w in constraints]
-    pivots = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(d) if c not in pivots]
+    rows, pivots, _ = rref(constraints, d, p)
     basis = []
-    for fc in free:
+    for fc in range(d):
+        if fc in pivots:
+            continue
         v = [0] * d
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-rows[ri][fc]) % p
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] % p
         basis.append(tuple(v))
     return basis
 
@@ -396,7 +381,8 @@ def is_semi_orthonormal_family(space: FormSpace, vectors) -> bool:
         for j in range(i):
             if space.pair(vi, vectors[j]) != 0:
                 return False
-    return _rank(vectors, space) == len(vectors)
+    _, pivots, _ = rref(vectors, space.dimension, space.modulus)
+    return len(pivots) == len(vectors)
 
 
 def verify_semi_orthonormal(space: FormSpace, basis) -> bool:
@@ -407,42 +393,6 @@ def verify_semi_orthonormal(space: FormSpace, basis) -> bool:
     return is_semi_orthonormal_family(space, basis)
 
 
-def _rank(vectors, space: FormSpace) -> int:
-    d = space.dimension
-    p = space.modulus
-    if p:
-        rows = [list(v) for v in vectors]
-        r = 0
-        for col in range(d):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][col], -1, p)
-            rows[r] = [x * inv % p for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] % p:
-                    f = rows[i][col]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-            r += 1
-        return r
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
 def mutate(basis, index: int, space: FormSpace):
     """Exchange move at (index, index+1), 0-based.
 
@@ -450,6 +400,16 @@ def mutate(basis, index: int, space: FormSpace):
     semi-orthonormal and spans the same sublattice.  With (e, f) = 0 this
     is a pure swap; over F_2 it is the classical move (f, e + (e, f) f).
     """
+    return _exchange(basis, index, space, forward=True)
+
+
+def mutate_inverse(basis, index: int, space: FormSpace):
+    """Inverse of mutate at the same position: (g, h) -> (h - (g, h) g, g)."""
+    return _exchange(basis, index, space, forward=False)
+
+
+def _exchange(basis, index: int, space: FormSpace, forward: bool):
+    """(e, f) -> (f, e - c f) forward, (f - c e, e) backward, with c = (e, f)."""
     basis = [tuple(v) for v in basis]
     if not 0 <= index < len(basis) - 1:
         raise ValueError("index out of range")
@@ -458,25 +418,7 @@ def mutate(basis, index: int, space: FormSpace):
     e, f = basis[index], basis[index + 1]
     c = space.pair(e, f)
     p = space.modulus
-    new = tuple(
-        (ei - c * fi) % p if p else ei - c * fi for ei, fi in zip(e, f)
-    )
-    out = basis[:index] + [f, new] + basis[index + 2 :]
-    return tuple(out)
-
-
-def mutate_inverse(basis, index: int, space: FormSpace):
-    """Inverse of mutate at the same position: (g, h) -> (h - (g, h) g, g)."""
-    basis = [tuple(v) for v in basis]
-    if not 0 <= index < len(basis) - 1:
-        raise ValueError("index out of range")
-    if not is_semi_orthonormal_family(space, basis):
-        raise ValueError("input basis is not semi-orthonormal")
-    g, h = basis[index], basis[index + 1]
-    c = space.pair(g, h)
-    p = space.modulus
-    new = tuple(
-        (hi - c * gi) % p if p else hi - c * gi for gi, hi in zip(g, h)
-    )
-    out = basis[:index] + [new, g] + basis[index + 2 :]
-    return tuple(out)
+    a, b = (e, f) if forward else (f, e)
+    new = tuple((x - c * y) % p if p else x - c * y for x, y in zip(a, b))
+    pair = [f, new] if forward else [new, e]
+    return tuple(basis[:index] + pair + basis[index + 2 :])

@@ -32,8 +32,18 @@ GOLDEN = json.loads(
     "entry", GOLDEN["commands"], ids=[" ".join(e["argv"]) for e in GOLDEN["commands"]]
 )
 def test_readme_example_matches_golden(entry):
-    # error_paths are not replayed: they record defects, not the contract
+    # error_paths are usage and data errors; test_error_path_exits_2 checks
+    # them against the contract (exit 2), not against their recorded exits
     assert run_cli(*entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["error_paths"], ids=[" ".join(e["argv"]) for e in GOLDEN["error_paths"]]
+)
+def test_error_path_exits_2(entry, capsys):
+    assert run_cli(*entry["argv"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gram_wilson_mod_2():

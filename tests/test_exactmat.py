@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from semiortho import (
     ExactMatrix,
     IntValuedPolynomial,
-    determinant,
     gram_from_twists,
     lattice_index_squared,
     matrix_order,
     profile_from_polynomial,
     wilson_fourfold,
 )
+from semiortho.exactmat import rref
+from semiortho.sonb import _nullspace_basis
 
 from oracles import cofactor_determinant, random_int_valued_poly
 
@@ -108,6 +110,58 @@ def test_matrix_multiplication_and_inverse():
             assert (m * m.inverse()).is_identity()
 
 
+def test_inverse_of_empty_matrix():
+    for p in (0, 5):
+        inv = ExactMatrix.identity(0, p).inverse()
+        assert inv == ExactMatrix.identity(0, p) and inv.size == 0
+
+
+def _minor_rank(rows, p):
+    """Largest k with a nonzero k x k minor, by cofactor expansion."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                if cofactor_determinant([[rows[i][j] for j in cs] for i in rs], p):
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_rref_rank_and_nullspace_match_minor_oracle(p):
+    rng = random.Random(1000 + p)
+
+    def entry():
+        return rng.randrange(-3, 4) if p else Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+
+    shapes = [(1, 1), (1, 5), (2, 6), (3, 3), (3, 4), (4, 2), (4, 4), (5, 5)]
+    for m, n in shapes:
+        for trial in range(10):
+            # a product of m x r and r x n factors has rank at most r
+            r = 0 if trial == 0 else rng.randrange(1, min(m, n) + 1)
+            left = [[entry() for _ in range(r)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(r)]
+            rows = [[sum((a[k] * right[k][j] for k in range(r)), 0) for j in range(n)]
+                    for a in left]
+            if p:
+                rows = [[x % p for x in row] for row in rows]
+            reduced, pivots, scale = rref(rows, n, p)
+            rank = _minor_rank(rows, p)
+            assert len(pivots) == len(reduced) == rank
+            assert pivots == sorted(set(pivots))
+            for i, (row, pc) in enumerate(zip(reduced, pivots)):
+                assert row[pc] == 1
+                assert all(other[pc] == 0 for k, other in enumerate(reduced) if k != i)
+            if m == n and rank == n:
+                assert scale == cofactor_determinant(rows, p)
+            if p:
+                basis = _nullspace_basis(rows, n, p)
+                assert len(basis) == n - rank
+                assert all(sum(a * b for a, b in zip(w, v)) % p == 0
+                           for v in basis for w in rows)
+                assert not basis or _minor_rank(basis, p) == len(basis)
+
+
 def test_matrix_order_identity():
     assert matrix_order(ExactMatrix.identity(3, 2)) == 1
     assert matrix_order(ExactMatrix.identity(3), bound=10) == 1
@@ -189,7 +243,7 @@ def test_non_prime_modulus_rejected():
 
 def test_determinant_function_alias():
     m = ExactMatrix([[2, 1], [1, 1]])
-    assert determinant(m) == 1
+    assert m.determinant() == 1
 
 
 def test_gram_determinant_of_custom_profile():

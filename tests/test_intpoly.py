@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semiortho import IntValuedPolynomial, eval_poly, wilson_fourfold
+from semiortho import IntValuedPolynomial, wilson_fourfold
 
 from oracles import random_int_valued_poly
 
@@ -68,7 +68,7 @@ def test_integrality_matches_direct_evaluation():
 
 def test_eval_poly_function():
     poly = IntValuedPolynomial((1, 1))
-    assert eval_poly(poly, 41) == 42
+    assert poly(41) == 42
 
 
 def test_from_roots_and_degree():

@@ -23,7 +23,6 @@ from semiortho import (
     root_of_unity,
 )
 from semiortho.reptheory import (
-    GroupElement,
     all_elements,
     conjugacy_class_of,
     dimension_candidates,
@@ -213,15 +212,3 @@ def test_three_dim_sigma_traces_never_three():
 
 def test_no_faithful_two_dimensional_representation():
     assert not faithful_two_dim_rep_exists()
-
-
-def test_normal_form_multiplication_matches_faithful_rep():
-    # the 3-dimensional representation is faithful on <s>-cosets; verify the
-    # normal-form product against matrix products on a sample
-    def mat_eq(x, y):
-        return all(x[i][j] == y[i][j] for i in range(3) for j in range(3))
-
-    sample = [GroupElement(a, u) for a in range(3) for u in (0, 1, 3)]
-    for g in sample:
-        for h in sample:
-            assert mat_eq(v3_matrix(g * h), _mul3(v3_matrix(g), v3_matrix(h)))

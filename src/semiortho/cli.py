@@ -206,11 +206,14 @@ def parse_matrix(text: str, modulus: int) -> ExactMatrix:
         raise CliError(f"bad matrix literal: {exc}") from exc
 
 
-def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
+def parse_vectors(text: str, dimension: int) -> tuple[tuple[int, ...], ...]:
     try:
-        return tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+        vectors = tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+        if any(len(v) != dimension for v in vectors):
+            raise ValueError(f"each vector needs {dimension} entries")
     except ValueError as exc:
         raise CliError(f"bad vector list: {exc}") from exc
+    return vectors
 
 
 _ALIASES = {B: "b", B_BAR: "bbar"}  # both in Q(zeta_21)
@@ -225,10 +228,6 @@ def _cyc_str(x: Cyclotomic) -> str:
 
 
 # -- subcommands --------------------------------------------------------------
-
-def _consecutive_ascending(twists) -> bool:
-    return all(b - a == 1 for a, b in zip(twists, twists[1:]))
-
 
 def cmd_gram(args) -> Report:
     report = Report("gram")
@@ -251,7 +250,7 @@ def cmd_gram(args) -> Report:
             "transfer is not guaranteed at this prime"
         )
     n = profile.dimension
-    if len(gram.twists) == n + 1 and _consecutive_ascending(gram.twists):
+    if gram.twists == tuple(range(gram.twists[0], gram.twists[0] + n + 1)):
         expected = profile.deg ** (n + 1)
         if gram.modulus:
             ok = (det - expected) % gram.modulus == 0
@@ -283,11 +282,9 @@ def cmd_detcheck(args) -> Report:
             d = rng.randrange(1, args.max_degree + 1)
             coeffs = [rng.randrange(-9, 10) for _ in range(d)]
             coeffs.append(rng.choice([c for c in range(-9, 10) if c]))
-            poly = IntValuedPolynomial.from_binomial(coeffs)
-            rows = [[poly(j - i) for j in range(d + 1)] for i in range(d + 1)]
-            det = ExactMatrix(rows).determinant()
-            if det != coeffs[-1] ** (d + 1):
-                failures += 1
+            profile = profile_from_polynomial(IntValuedPolynomial.from_binomial(coeffs))
+            det = gram_from_twists(profile, range(d + 1)).determinant()
+            failures += det != coeffs[-1] ** (d + 1)
         report.add_record("checked", args.sample)
         report.add_check(
             "determinant_identity_sample",
@@ -298,8 +295,7 @@ def cmd_detcheck(args) -> Report:
     profile = resolve_profile(args)
     report.add_input("profile", profile.name)
     n = profile.dimension
-    gram = gram_from_twists(profile, range(n + 1))
-    det = gram.determinant()
+    det = gram_from_twists(profile, range(n + 1)).determinant()
     expected = profile.deg ** (n + 1)
     report.add_record("determinant", det)
     report.add_record("expected", expected)
@@ -325,6 +321,8 @@ def cmd_serre(args) -> Report:
     report.add_check("pairing_transposed", a * s == a.transpose(), "A*S = A^t")
     report.add_check("form_preserved", s.transpose() * a * s == a, "S^t*A*S = A")
     bound = args.order_bound
+    if bound is not None and bound < 1:
+        raise CliError("--order-bound must be positive")
     if bound is None and gram.modulus == 0:
         report.add_note("order not computed: supply --order-bound in characteristic zero")
     else:
@@ -352,7 +350,7 @@ def cmd_sonb(args) -> Report:
         report.add_input("mod", space.modulus)
 
     if args.verify_basis:
-        basis = parse_vectors(args.verify_basis)
+        basis = parse_vectors(args.verify_basis, space.dimension)
         ok = verify_semi_orthonormal(space, basis)
         report.add_check("basis_verified", ok, f"{len(basis)} supplied vectors")
         return report

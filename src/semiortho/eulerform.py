@@ -99,12 +99,10 @@ class GramMatrix:
         if len(self.twists) != self.base.size:
             raise ValueError("twist count must match matrix size")
         p = self.base.modulus
-        for i in range(self.base.size):
-            for j in range(self.base.size):
-                expected = self.profile.polynomial(self.twists[j] - self.twists[i])
-                got = self.base.rows[i][j]
-                mismatch = (got - expected) % p != 0 if p else got != expected
-                if mismatch:
+        expected = _entry_rows(self.profile.polynomial, self.twists)
+        for i, (got_row, want_row) in enumerate(zip(self.base.rows, expected)):
+            for j, (got, want) in enumerate(zip(got_row, want_row)):
+                if (got - want) % p if p else got != want:
                     raise ValueError(f"entry law violated at ({i}, {j})")
 
     @property
@@ -123,8 +121,13 @@ def gram_from_twists(profile: HilbertProfile, twists) -> GramMatrix:
     twists = tuple(int(t) for t in twists)
     if not twists:
         raise ValueError("twist sequence must be nonempty")
-    rows = [[profile.polynomial(cj - ci) for cj in twists] for ci in twists]
-    return GramMatrix(profile, twists, ExactMatrix(rows, 0))
+    return GramMatrix(profile, twists, ExactMatrix(_entry_rows(profile.polynomial, twists), 0))
+
+
+def _entry_rows(poly: IntValuedPolynomial, twists) -> list[list[int]]:
+    """Rows P(c_j - c_i), with one evaluation per distinct difference c_j - c_i."""
+    values = {d: poly(d) for d in {cj - ci for ci in twists for cj in twists}}
+    return [[values[cj - ci] for cj in twists] for ci in twists]
 
 
 def reduce_mod(gram: GramMatrix, p: int) -> GramMatrix:

@@ -1,26 +1,66 @@
 """Integer-valued polynomials with exact rational coefficients.
 
-A polynomial P over Q is integer valued when P(k) is an integer for every
-integer k.  Equivalently, its coordinates in the binomial basis binom(x, 0),
-binom(x, 1), ... are all integers.  That equivalent test is cheap (iterated
-forward differences of P(0), P(1), ...) and is enforced here at construction
-time, so evaluation can always return a plain int.
+P over Q is integer valued when P(k) is an integer for every integer k;
+equivalently, its coordinates in the binomial basis binom(x, 0), binom(x, 1),
+... are all integers.  P is stored as integer coefficients N (constant term
+first, trailing zeros stripped) over one positive denominator D, in lowest
+terms, so equality compares a canonical form; ``coeffs`` gives the rational
+values.  Evaluation is an integer Horner loop and one division by D.
+Construction checks integrality: the forward differences of N(0), ...,
+N(deg), which are D times the binomial coordinates, must be divisible by D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import zip_longest
+from math import factorial, gcd, lcm
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _horner(num, k: int) -> int:
+    acc = 0
+    for c in reversed(num):
+        acc = acc * k + c
+    return acc
+
+
+def _forward_differences(num) -> list[int]:
+    """Delta^j N(0) for j = 0..deg: D times the binomial coordinates."""
+    v = [_horner(num, k) for k in range(len(num))]
+    for j in range(1, len(v)):
+        for i in range(len(v) - 1, j - 1, -1):
+            v[i] -= v[i - 1]
+    return v
+
+
+def _make(num: list[int], den: int, self=None) -> "IntValuedPolynomial":
+    """num / den (den > 0), stripped, in lowest terms and checked integer
+    valued; set on ``self`` if given."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(den, *num)
+    num, den = [c // g for c in num], den // g
+    if den != 1:
+        for j, c in enumerate(_forward_differences(num)):
+            if c % den:
+                raise ValueError(
+                    f"not integer valued: binomial-basis coefficient {j} is {Fraction(c, den)}"
+                )
+    self = object.__new__(IntValuedPolynomial) if self is None else self
+    object.__setattr__(self, "_num", tuple(num))
+    object.__setattr__(self, "_den", den)
+    return self
+
+
+def _times_linear(num: list[int], r: int) -> list[int]:
+    """The integer coefficients of num * (x - r)."""
+    return [b - r * a for a, b in zip(num + [0], [0] + num)]
 
 
 class IntValuedPolynomial:
@@ -28,24 +68,16 @@ class IntValuedPolynomial:
 
     ``coeffs[j]`` is the coefficient of ``x**j``.  Trailing zeros are
     stripped; the zero polynomial has an empty coefficient tuple and
-    degree -1.
-
-    Raises ValueError at construction if the polynomial is not integer
-    valued.
+    degree -1.  Raises ValueError at construction if the polynomial is not
+    integer valued.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        for k, c in enumerate(self._binomial_coefficients()):
-            if c.denominator != 1:
-                raise ValueError(
-                    f"not integer valued: binomial-basis coefficient {k} is {c}"
-                )
+        den = lcm(*[c.denominator for c in cs])
+        _make([c.numerator * (den // c.denominator) for c in cs], den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntValuedPolynomial is immutable")
@@ -59,75 +91,67 @@ class IntValuedPolynomial:
     @classmethod
     def from_binomial(cls, binomial_coeffs) -> "IntValuedPolynomial":
         """Build from integer coordinates in the basis binom(x, k)."""
-        out = [Fraction(0)]
-        for k, c in enumerate(binomial_coeffs):
-            c = int(c)
-            # binom(x, k) = x(x-1)...(x-k+1) / k!
-            term = [Fraction(1)]
-            for i in range(k):
-                term = _mul([Fraction(-i), Fraction(1)], term)
-            out = _add(out, [Fraction(c, factorial(k)) * t for t in term])
-        return cls(out)
+        cs = [int(c) for c in binomial_coeffs]
+        den = factorial(max(len(cs) - 1, 0))
+        # binom(x, k) = x(x-1)...(x-k+1) / k!, put over the common den
+        out, term = [0] * len(cs), [1]
+        for k, c in enumerate(cs):
+            scale = c * (den // factorial(k))
+            for i, t in enumerate(term):
+                out[i] += scale * t
+            term = _times_linear(term, k)
+        return _make(out, den)
 
     @classmethod
     def from_roots(cls, roots, scale=1) -> "IntValuedPolynomial":
         """scale * prod (x - r) over the given integer roots."""
-        out = [_as_fraction(scale)]
+        scale = _as_fraction(scale)
+        num = [scale.numerator]
         for r in roots:
-            out = _mul(out, [Fraction(-int(r)), Fraction(1)])
-        return cls(out)
+            num = _times_linear(num, int(r))
+        return _make(num, scale.denominator)
 
     # -- basic queries ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _eval_fraction(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return not self._num
 
     def __call__(self, k: int) -> int:
         """Evaluate at an integer; the result is an exact int."""
-        v = self._eval_fraction(Fraction(int(k)))
-        if v.denominator != 1:
-            raise ArithmeticError(f"integrality invariant violated at {k}: {v}")
-        return int(v)
-
-    def _binomial_coefficients(self):
-        """Coordinates in the binomial basis, via forward differences at 0."""
-        d = len(self.coeffs) - 1
-        values = [self._eval_fraction(Fraction(k)) for k in range(d + 1)]
-        out = []
-        while values:
-            out.append(values[0])
-            values = [b - a for a, b in zip(values, values[1:])]
-        return out
+        acc = _horner(self._num, int(k))
+        q, r = divmod(acc, self._den)
+        if r:
+            raise ArithmeticError(f"integrality invariant violated at {k}: {Fraction(acc, self._den)}")
+        return q
 
     def binomial_coefficients(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._binomial_coefficients())
+        return tuple(c // self._den for c in _forward_differences(self._num))
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        return IntValuedPolynomial(_add(list(self.coeffs), list(other.coeffs)))
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        pairs = zip_longest(self._num, other._num, fillvalue=0)
+        return _make([a * sa + b * sb for a, b in pairs], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntValuedPolynomial([-c for c in self.coeffs])
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -137,58 +161,34 @@ class IntValuedPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, IntValuedPolynomial):
-            return IntValuedPolynomial(_mul(list(self.coeffs), list(other.coeffs)))
+            out = [0] * (len(self._num) + len(other._num) - 1)
+            for i, x in enumerate(self._num):
+                if x:
+                    for j, y in enumerate(other._num):
+                        out[i + j] += x * y
+            return _make(out, self._den * other._den)
         scalar = _as_fraction(other)
-        return IntValuedPolynomial([scalar * c for c in self.coeffs])
+        return _make([scalar.numerator * c for c in self._num], self._den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, IntValuedPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "IntValuedPolynomial(0)"
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            elif j == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{j}")
-        return f"IntValuedPolynomial({' + '.join(terms)})"
+        terms = [
+            str(c) if j == 0 else f"{c}*x" if j == 1 else f"{c}*x^{j}"
+            for j, c in enumerate(self.coeffs) if c
+        ]
+        return f"IntValuedPolynomial({' + '.join(terms) or 0})"
 
 
 def _coerce(value) -> IntValuedPolynomial:
     if isinstance(value, IntValuedPolynomial):
         return value
     return IntValuedPolynomial([_as_fraction(value)])
-
-
-def _add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

@@ -175,7 +175,8 @@ def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, .
     """Partition candidates into orbits of the (form-preserving) operator.
 
     Each orbit is listed from its canonically least representative by
-    repeated application; orbits are sorted by their representative.
+    repeated application; orbits are sorted by their representative, in one
+    pass over the candidate codes in increasing order.
     Raises if the operator fails to map the candidate set to itself.
     """
     space = candidates.space
@@ -183,18 +184,16 @@ def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, .
     if not p:
         raise ValueError("orbit partition requires a finite modulus")
     rows = _operator_rows(operator)
-    d = space.dimension
 
     def apply(v):
-        return tuple(
-            sum(rows[i][j] * v[j] for j in range(d)) % p for i in range(d)
-        )
+        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in rows)
 
     remaining = {vector_code(v, p): v for v in candidates.vectors}
     orbits = []
-    while remaining:
-        rep_code = min(remaining)
-        rep = remaining.pop(rep_code)
+    for rep_code in sorted(remaining):
+        rep = remaining.pop(rep_code, None)
+        if rep is None:  # already in the orbit of a smaller code
+            continue
         orbit = [rep]
         cur = apply(rep)
         while cur != rep:

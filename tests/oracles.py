@@ -5,6 +5,8 @@ cofactor expansion, the basis search is plain enumeration over candidate
 tuples with the defining conditions checked directly, integrality is
 checked by evaluation, and Q(zeta_n) arithmetic is Fraction long division by
 a Phi_n built from the Moebius product, with inverses from a linear solve.
+Integer-valued polynomials are evaluated term by term in the binomial basis,
+and orbits come from a union-find over the operator's graph.
 """
 
 from fractions import Fraction
@@ -102,6 +104,38 @@ def random_int_valued_poly(rng, degree):
     coeffs = [rng.randrange(-9, 10) for _ in range(degree)]
     coeffs.append(rng.choice([c for c in range(-9, 10) if c]))
     return IntValuedPolynomial.from_binomial(coeffs)
+
+
+def binomial_eval(binomial_coeffs, k):
+    """sum c_j * binom(k, j) in Fractions, binom(k, j) = k(k-1)...(k-j+1) / j!."""
+    total = Fraction(0)
+    for j, c in enumerate(binomial_coeffs):
+        falling, j_factorial = 1, 1
+        for i in range(j):
+            falling *= k - i
+            j_factorial *= i + 1
+        total += c * Fraction(falling, j_factorial)
+    return total
+
+
+def orbit_partition(vectors, rows, p):
+    """The orbits of v -> rows * v (mod p) on a finite set of vectors, as a
+    set of frozensets, by union-find over the edges v -- rows * v."""
+    parent = {v: v for v in vectors}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for v in vectors:
+        image = tuple(sum(a * b for a, b in zip(row, v)) % p for row in rows)
+        parent[find(v)] = find(image)
+    classes = {}
+    for v in vectors:
+        classes.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in classes.values()}
 
 
 # -- Q(zeta_n): Fraction polynomials, constant term first --------------------

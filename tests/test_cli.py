@@ -143,6 +143,28 @@ def test_sonb_raw_matrix_and_verify_basis():
     assert "check.basis_verified=PASS" in out
 
 
+@pytest.mark.parametrize("basis", [
+    "1,0,0,0,0,1;0,1,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0",  # IndexError before
+    "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0",  # FAIL, exit 1 before
+    "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;1,1,1,1",
+])
+def test_sonb_verify_basis_wrong_length_is_a_data_error(basis, capsys):
+    argv = ("sonb", "--profile", "wilson", "--mod", "2", "--verify-basis", basis)
+    assert run_cli(*argv, "--format", "machine") == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: bad vector list: each vector needs 5 entries\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-4"])
+def test_serre_nonpositive_order_bound_is_a_usage_error(bound, capsys):
+    argv = ("serre", "--profile", "pn:3", "--mod", "3", "--order-bound", bound)
+    assert run_cli(*argv, "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == "error: --order-bound must be positive\n"
+    code, out = run_cli("serre", "--profile", "pn:3", "--mod", "3", "--order-bound", "1",
+                        "--format", "machine")
+    assert code == 0 and "record.order=not-found" in out
+
+
 def test_sonb_enumeration_cap_is_a_usage_error():
     # a fresh process, so an uncaught exception would show as a traceback
     env = dict(os.environ, PYTHONPATH=str(Path(semiortho.__file__).parents[1]))

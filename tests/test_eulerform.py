@@ -106,6 +106,20 @@ def test_entry_law_enforced():
         GramMatrix(profile, (0, 1), ExactMatrix([[1, 3], [0, 1]]))
 
 
+@pytest.mark.parametrize("twists", [(0, 1, 2, 3, 4), (0, -1, -2, -3, -4), (3, -2, 7, 0, 5)])
+def test_entry_law_catches_one_tampered_entry(twists):
+    gram = gram_from_twists(wilson_fourfold(), twists)
+    reduced = reduce_mod(gram, 5)
+    for i in range(5):
+        for j in range(5):
+            assert gram.base.rows[i][j] == gram.profile.polynomial(twists[j] - twists[i])
+            for base, p in ((gram.base, 0), (reduced.base, 5)):
+                tampered = [list(r) for r in base.rows]
+                tampered[i][j] += 1
+                with pytest.raises(ValueError, match=f"entry law violated at \\({i}, {j}\\)"):
+                    GramMatrix(gram.profile, twists, ExactMatrix(tampered, p))
+
+
 def test_determinant_equals_deg_power():
     for profile in (
         projective_space(1),

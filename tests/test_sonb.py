@@ -20,9 +20,9 @@ from semiortho import (
     wilson_fourfold,
 )
 from semiortho import reference as ref
-from semiortho.sonb import vector_code, vector_from_code
+from semiortho.sonb import CandidateSet, vector_code, vector_from_code
 
-from oracles import brute_force_sonb
+from oracles import brute_force_sonb, orbit_partition
 
 
 def wilson_space():
@@ -92,6 +92,57 @@ def test_identity_operator_gives_singletons():
     orbits = serre_orbits(cands, ExactMatrix.identity(5, 2))
     assert all(len(o) == 1 for o in orbits)
     assert len(orbits) == 12
+
+
+def _random_isometry(rng, p, d):
+    """A random invertible T over F_p and a form A with T^t A T = A (the sum
+    of (T^k)^t B T^k over one period of T, for a random B), redrawn until
+    the form has candidates and T moves at least one of them."""
+    while True:
+        t = ExactMatrix([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p)
+        if not t.determinant() or t.is_identity():
+            continue
+        b = ExactMatrix([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p)
+        form, power = b, t
+        while not power.is_identity():
+            form = ExactMatrix([[x + y for x, y in zip(r, s)] for r, s in
+                                zip(form.rows, (power.transpose() * b * power).rows)], p)
+            power = power * t
+        assert t.transpose() * form * t == form
+        space = FormSpace(d, p, form.rows)
+        if any(t.apply(v) != v for v in enumerate_candidates(space).vectors):
+            return space, t
+
+
+def _check_orbits_against_union_find(space, operator, rows):
+    cands = enumerate_candidates(space)
+    p, d = space.modulus, space.dimension
+    orbits = serre_orbits(cands, operator)
+    assert {frozenset(o) for o in orbits} == orbit_partition(cands.vectors, rows, p)
+    shuffled = list(cands.vectors)
+    random.Random(len(shuffled)).shuffle(shuffled)
+    assert serre_orbits(CandidateSet(space, tuple(shuffled)), operator) == orbits
+    assert sum(len(o) for o in orbits) == len(cands)
+    reps = [vector_code(o[0], p) for o in orbits]
+    assert reps == sorted(reps)
+    for orbit in orbits:
+        assert vector_code(orbit[0], p) == min(vector_code(v, p) for v in orbit)
+        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
+            assert tuple(sum(r[j] * a[j] for j in range(d)) % p for r in rows) == b
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (3, 5), (4, 3), (6, 2), (9, 2)])
+def test_pn_serre_orbits_match_union_find(n, p):
+    gram = reduce_mod(gram_from_twists(projective_space(n), range(n + 1)), p)
+    op = serre_operator(gram)
+    _check_orbits_against_union_find(FormSpace.from_gram(gram), op, op.matrix.rows)
+
+
+def test_random_isometry_orbits_match_union_find():
+    rng = random.Random(44)
+    for p, d in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)] * 3:
+        space, t = _random_isometry(rng, p, d)
+        _check_orbits_against_union_find(space, t, t.rows)
 
 
 def test_non_preserving_operator_rejected():

@@ -14,7 +14,8 @@ sum(x_i * p^i) -- coordinate 0 is the least significant digit -- so
 (1, 0, ..., 0) is the first nonzero vector.  Candidate enumeration, orbit
 representatives and the first-found basis all follow this order.  With
 Serre symmetry enabled, only orbit representatives are tried in the first
-slot; this is sound because the operator preserves the pairing, so any
+slot, found on demand as the candidates whose orbit walk meets no smaller
+code; this is sound because the operator preserves the pairing, so any
 basis can be translated to one starting at a representative.
 
 Memo.  Each call keeps a table of failed states.  A state is the span V_k
@@ -126,40 +127,32 @@ class CandidateSet:
         return len(self.vectors)
 
 
-def enumerate_candidates(
-    space: FormSpace,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    box: int | None = None,
-) -> CandidateSet:
-    """Exact set of vectors with (x, x) = 1.
+def enumerate_candidates(space: FormSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> CandidateSet:
+    """Exact set of vectors with (x, x) = 1, in code order (requires p^d <= cap).
 
-    Finite modulus: all p^d - 1 nonzero vectors are scanned (requires
-    p^d <= cap).  Modulus 0: a bounded box [-box, box]^d must be supplied.
+    A walk over the p^(d-1) prefixes x' = (x_1, ..., x_{d-1}), most
+    significant first, carrying b = sum (A_0i + A_i0) x_i and c = (x', x'):
+    a table of the roots of A_00 t^2 + b t + c = 1 then gives each x_0.
     """
-    d = space.dimension
-    if space.modulus:
-        if space.total_vectors > cap:
-            raise ValueError(
-                f"enumeration cap exceeded: {space.total_vectors} > {cap}"
-            )
-        p = space.modulus
-        vecs = []
-        for code in range(1, p**d):
-            v = vector_from_code(code, p, d)
-            if space.pair(v, v) == 1:
-                vecs.append(v)
-        return CandidateSet(space, tuple(vecs))
-    if box is None:
-        raise ValueError("integer spaces need an explicit search box")
-    width = 2 * box + 1
-    if width**d > cap:
-        raise ValueError(f"enumeration cap exceeded: {width ** d} > {cap}")
+    p, d, a = space.modulus, space.dimension, space.form
+    if space.total_vectors > cap:  # raises on an integer space
+        raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {cap}")
+    sym = [[a[i][j] + a[j][i] for j in range(i)] for i in range(d)]
+    roots = [[t for t in range(p) if (a[0][0] * t * t + b * t + c) % p == 1]
+             for b in range(p) for c in range(p)]
     vecs = []
-    for code in range(width**d):
-        shifted = vector_from_code(code, width, d)
-        v = tuple(x - box for x in shifted)
-        if any(v) and space.pair(v, v) == 1:
-            vecs.append(v)
+
+    def walk(k, s, c, tail):
+        # coordinates above k are fixed in tail; s[i] = sum_j>k (A_ij + A_ji) x_j
+        if not k:
+            for t in roots[s[0] % p * p + c % p]:
+                vecs.append((t,) + tail)
+            return
+        for v in range(p):
+            walk(k - 1, [x + v * y for x, y in zip(s, sym[k])],
+                 c + v * s[k] + a[k][k] * v * v, (v,) + tail)
+
+    walk(d - 1, [0] * d, 0, ())
     return CandidateSet(space, tuple(vecs))
 
 
@@ -171,40 +164,43 @@ def _operator_rows(operator) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in r) for r in operator)
 
 
+def _apply(rows, v, p: int) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) % p for row in rows)
+
+
+_NOT_PRESERVED = "operator does not preserve the candidate set (form-preservation defect)"
+
+
 def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partition candidates into orbits of the (form-preserving) operator.
 
     Each orbit is listed from its canonically least representative by
     repeated application; orbits are sorted by their representative, in one
-    pass over the candidate codes in increasing order.
-    Raises if the operator fails to map the candidate set to itself.
+    pass over the candidate codes in increasing order (the identity mod p
+    is not applied).  Raises if the operator fails to map the candidate set
+    to itself.
     """
     space = candidates.space
     p = space.modulus
     if not p:
         raise ValueError("orbit partition requires a finite modulus")
     rows = _operator_rows(operator)
-
-    def apply(v):
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in rows)
-
     remaining = {vector_code(v, p): v for v in candidates.vectors}
+    if all(x % p == (i == j) for i, r in enumerate(rows) for j, x in enumerate(r)):
+        return tuple((remaining[code],) for code in sorted(remaining))
     orbits = []
     for rep_code in sorted(remaining):
         rep = remaining.pop(rep_code, None)
         if rep is None:  # already in the orbit of a smaller code
             continue
         orbit = [rep]
-        cur = apply(rep)
+        cur = _apply(rows, rep, p)
         while cur != rep:
             code = vector_code(cur, p)
             if code not in remaining:
-                raise ValueError(
-                    "operator does not preserve the candidate set "
-                    "(form-preservation defect)"
-                )
+                raise ValueError(_NOT_PRESERVED)
             orbit.append(remaining.pop(code))
-            cur = apply(cur)
+            cur = _apply(rows, cur, p)
         orbits.append(tuple(orbit))
     return tuple(orbits)
 
@@ -258,7 +254,8 @@ def search(
 
     Returns the first basis in canonical order, or an Exhausted result with
     the number of partial placements explored.  With symmetry, the first
-    basis vector ranges over orbit representatives only.
+    basis vector ranges over orbit representatives only, found lazily; an
+    operator that leaves the candidate set on a walked orbit raises.
 
     Failed subtrees are memoized by the span of the vectors placed above
     them and not walked twice.  ``nodes_explored`` and the placement and
@@ -275,11 +272,24 @@ def search(
     if space.total_vectors > cap:
         raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {cap}")
 
-    first_slot = None
-    if symmetry is not None:
-        orbits = serre_orbits(enumerate_candidates(space, cap), symmetry)
-        first_slot = [orbit[0] for orbit in orbits]
-        first_slot.sort(key=lambda v: vector_code(v, p))
+    def first_slot():
+        # the sorted orbit representatives: x whose walk meets no smaller code
+        rows = _operator_rows(symmetry)
+        for code in range(1, p**d):
+            x = y = vector_from_code(code, p, d)
+            if space.pair(x, x) != 1:
+                continue
+            for _ in range(p**d):
+                y = _apply(rows, y, p)
+                if y == x:
+                    yield x
+                    break
+                if space.pair(y, y) != 1:
+                    raise ValueError(_NOT_PRESERVED)
+                if vector_code(y, p) < code:
+                    break
+            else:  # the walk never returns: the operator is not injective
+                raise ValueError(_NOT_PRESERVED)
 
     nodes = 0
     pairing_rejections = 0
@@ -300,8 +310,8 @@ def search(
         return w
 
     def level_vectors(depth):
-        if depth == 0 and first_slot is not None:
-            yield from first_slot
+        if depth == 0 and symmetry is not None:
+            yield from first_slot()
             return
         basis = _nullspace_basis(constraints, d, p)
         m = len(basis)

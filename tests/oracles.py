@@ -6,7 +6,11 @@ tuples with the defining conditions checked directly, integrality is
 checked by evaluation, and Q(zeta_n) arithmetic is Fraction long division by
 a Phi_n built from the Moebius product, with inverses from a linear solve.
 Integer-valued polynomials are evaluated term by term in the binomial basis,
-and orbits come from a union-find over the operator's graph.
+and orbits come from a union-find over the operator's graph.  Candidate sets
+are a scan of every vector, and their sizes also follow in closed form from
+the rank and discriminant of a congruence-diagonalized form; the proof tree
+of a symmetric search is a walk that tests dependence against the set of
+all vectors of the span.
 """
 
 from fractions import Fraction
@@ -30,6 +34,19 @@ def cofactor_determinant(rows, modulus=0):
     return total % modulus if modulus else Fraction(total)
 
 
+def _vectors(p, d):
+    """Every vector of F_p^d except zero, in increasing base-p code
+    (coordinate 0 least significant)."""
+    out = []
+    for code in range(1, p**d):
+        v = []
+        for _ in range(d):
+            v.append(code % p)
+            code //= p
+        out.append(tuple(v))
+    return out
+
+
 def brute_force_sonb(form, p, dimension):
     """Unpruned search: try every candidate in every slot, checking the
     defining pairing conditions against the chosen prefix directly and
@@ -42,15 +59,7 @@ def brute_force_sonb(form, p, dimension):
     def pair(u, v):
         return sum(u[i] * form[i][j] * v[j] for i in range(d) for j in range(d)) % p
 
-    vectors = []
-    for code in range(1, p**d):
-        v = []
-        c = code
-        for _ in range(d):
-            v.append(c % p)
-            c //= p
-        vectors.append(tuple(v))
-    candidates = [v for v in vectors if pair(v, v) == 1]
+    candidates = brute_force_candidates(form, p, d)
     nc = len(candidates)
     memo = {}
 
@@ -95,6 +104,127 @@ def brute_force_sonb(form, p, dimension):
         return None
 
     return dfs([]), nodes, nc
+
+
+def brute_force_candidates(form, p, dimension):
+    """Every x with x^t A x = 1 (mod p), by a scan of all p^d vectors."""
+    d = dimension
+    return tuple(
+        v for v in _vectors(p, d)
+        if sum(v[i] * form[i][j] * v[j] for i in range(d) for j in range(d)) % p == 1
+    )
+
+
+def _legendre(a, p):
+    return 0 if a % p == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+
+
+def closed_form_candidate_count(form, p, dimension):
+    """#{x in F_p^d : x^t A x = 1} for odd p without enumeration.
+
+    The quadratic form x^t A x has the symmetric matrix B = (A + A^t) / 2.
+    Congruence diagonalization gives its rank r and the discriminant D, the
+    product of the nonzero diagonal entries.  With radical of dimension
+    d - r the count is p^(d-r) * N_r(1), where for a nondegenerate form in r
+    variables (Lidl and Niederreiter, Finite Fields, Thms 6.26 and 6.27)
+      r odd:  N_r(1) = p^(r-1) + p^((r-1)/2) * eta((-1)^((r-1)/2) * D),
+      r even: N_r(1) = p^(r-1) - p^((r-2)/2) * eta((-1)^(r/2) * D),
+    and eta is the quadratic character of F_p.
+    """
+    assert p % 2, "the closed form needs odd p"
+    d = dimension
+    half = pow(2, -1, p)
+    b = [[(form[i][j] + form[j][i]) * half % p for j in range(d)] for i in range(d)]
+    r, disc = 0, 1
+    while r < d:
+        pivot = next((i for i in range(r, d) if b[i][i]), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(r, d) for j in range(i + 1, d) if b[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair  # e_i -> e_i + e_j makes b_ii = 2 b_ij nonzero
+            for k in range(d):
+                b[i][k] = (b[i][k] + b[j][k]) % p
+            for k in range(d):
+                b[k][i] = (b[k][i] + b[k][j]) % p
+            pivot = i
+        b[r], b[pivot] = b[pivot], b[r]
+        for row in b:
+            row[r], row[pivot] = row[pivot], row[r]
+        inv = pow(b[r][r], -1, p)
+        for i in range(r + 1, d):
+            f = b[i][r] * inv % p
+            if f:
+                b[i] = [(x - f * y) % p for x, y in zip(b[i], b[r])]
+                for row in b:
+                    row[i] = (row[i] - f * row[r]) % p
+        disc = disc * b[r][r] % p
+        r += 1
+    if r == 0:
+        return 0
+    if r % 2:
+        n_r = p ** (r - 1) + p ** ((r - 1) // 2) * _legendre((-1) ** ((r - 1) // 2) * disc, p)
+    else:
+        n_r = p ** (r - 1) - p ** ((r - 2) // 2) * _legendre((-1) ** (r // 2) * disc, p)
+    return p ** (d - r) * n_r
+
+
+def first_slot_reference(form, p, dimension, first_slot):
+    """The proof tree of a search whose first vector ranges over first_slot.
+
+    Later slots range over every nonzero vector in code order with
+    (x, e) = 0 for each e placed; x is a pairing rejection if (x, x) != 1, a
+    dependent rejection if it lies in the span of the placed vectors, and a
+    placement otherwise.  A span (as the set of all its vectors) whose
+    subtree failed is not walked again: the revisit is a memo hit and is
+    credited with that subtree's counts.
+
+    Returns (basis-or-None, placements, pairing_rejections,
+    dependent_rejections, memo_hits).
+    """
+    d = dimension
+    everything = _vectors(p, d)
+
+    def pair(u, v):
+        return sum(u[i] * form[i][j] * v[j] for i in range(d) for j in range(d)) % p
+
+    def span(vectors):
+        out = {tuple([0] * d)}
+        for e in vectors:
+            out = {tuple((x + c * y) % p for x, y in zip(v, e)) for v in out for c in range(p)}
+        return frozenset(out)
+
+    failed = {}
+    counts = [0, 0, 0, 0]  # placements, pairing, dependent, memo hits
+
+    def walk(chosen):
+        if len(chosen) == d:
+            return tuple(chosen)
+        key = span(chosen)
+        if key in failed:
+            counts[3] += 1
+            for k, n in enumerate(failed[key]):
+                counts[k] += n
+            return None
+        before = counts[:3]
+        level = first_slot if not chosen else [
+            x for x in everything if all(pair(x, e) == 0 for e in chosen)
+        ]
+        for x in level:
+            if pair(x, x) != 1:
+                counts[1] += 1
+            elif x in key:
+                counts[2] += 1
+            else:
+                counts[0] += 1
+                found = walk(chosen + [x])
+                if found is not None:
+                    return found
+        failed[key] = tuple(n - b for n, b in zip(counts, before))
+        return None
+
+    basis = walk([])
+    return (basis, *counts)
 
 
 def random_int_valued_poly(rng, degree):

@@ -220,3 +220,18 @@ def test_criterion_9_deduction_chain():
     ok = ok and any("Schur" in step for step in ded.steps)
     ok = ok and any("delta = 0" in step for step in ded.steps)
     report(9, "deduction-chain", ok, 0.1, time.perf_counter() - start)
+
+
+def test_criterion_10_serre_search_and_candidates_scale():
+    # A symmetric search must not enumerate the space, and candidate
+    # enumeration must walk p^(d-1) prefixes rather than all p^d vectors.
+    gram = reduce_mod(gram_from_twists(projective_space(6), range(7)), 7)
+    start = time.perf_counter()
+    result = search(FormSpace.from_gram(gram), symmetry=serre_operator(gram))
+    ok = result.found and result.nodes_explored == 7
+    report(10, "serre-search-pn6-mod7", ok, 1.0, time.perf_counter() - start)
+
+    space = FormSpace.from_gram(reduce_mod(gram_from_twists(projective_space(5), range(6)), 7))
+    start = time.perf_counter()
+    ok = len(enumerate_candidates(space)) == 16464
+    report(10, "candidates-pn5-mod7", ok, 1.0, time.perf_counter() - start)

@@ -122,6 +122,30 @@ def test_sonb_wilson():
     assert "record.outcome=exhausted" in out
 
 
+def test_sonb_serre_scans_the_space_once(monkeypatch):
+    import semiortho.cli as cli
+    import semiortho.sonb as sonb
+
+    calls = {"enumerate_candidates": 0, "serre_orbits": 0}
+
+    def counted(name):
+        inner = getattr(sonb, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(sonb, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    argv = ["sonb", "--profile", "wilson", "--mod", "2", "--symmetry", "serre", "--format", "machine"]
+    entry = next(e for e in GOLDEN["commands"] if e["argv"] == argv)
+    assert run_cli(*argv) == (entry["exit"], entry["stdout"])
+    assert calls == {"enumerate_candidates": 1, "serre_orbits": 1}
+
+
 def test_sonb_finds_basis_with_verification():
     code, out = run_cli("sonb", "--profile", "pn:2", "--mod", "2", "--format", "machine")
     assert code == 0

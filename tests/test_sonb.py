@@ -22,7 +22,13 @@ from semiortho import (
 from semiortho import reference as ref
 from semiortho.sonb import CandidateSet, vector_code, vector_from_code
 
-from oracles import brute_force_sonb, orbit_partition
+from oracles import (
+    brute_force_candidates,
+    brute_force_sonb,
+    closed_form_candidate_count,
+    first_slot_reference,
+    orbit_partition,
+)
 
 
 def wilson_space():
@@ -75,6 +81,7 @@ def test_enumeration_cap():
 
 def test_wilson_orbits():
     space, op = wilson_space()
+    assert not _check_first_slot_against_reference(space, op, op.matrix.rows)
     orbits = serre_orbits(enumerate_candidates(space), op)
     assert tuple(len(o) for o in orbits) == (8, 4)
     assert orbits[0][0] == (1, 0, 0, 0, 0)
@@ -92,6 +99,14 @@ def test_identity_operator_gives_singletons():
     orbits = serre_orbits(cands, ExactMatrix.identity(5, 2))
     assert all(len(o) == 1 for o in orbits)
     assert len(orbits) == 12
+    # in code order even from a shuffled candidate set
+    space = pn_space(6, 2)
+    cands = enumerate_candidates(space)
+    shuffled = list(cands.vectors)
+    random.Random(3).shuffle(shuffled)
+    orbits = serre_orbits(CandidateSet(space, tuple(shuffled)), ExactMatrix.identity(7, 2))
+    assert orbits == tuple((v,) for v in cands.vectors)
+    assert search(space, symmetry=ExactMatrix.identity(7, 2)).basis == standard_basis(7)
 
 
 def _random_isometry(rng, p, d):
@@ -129,6 +144,25 @@ def _check_orbits_against_union_find(space, operator, rows):
         assert vector_code(orbit[0], p) == min(vector_code(v, p) for v in orbit)
         for a, b in zip(orbit, orbit[1:] + orbit[:1]):
             assert tuple(sum(r[j] * a[j] for j in range(d)) % p for r in rows) == b
+    return _check_first_slot_against_reference(space, operator, rows)
+
+
+def _check_first_slot_against_reference(space, operator, rows):
+    """search(symmetry=operator) walks the proof tree of a search whose first
+    slot is the sorted union-find orbit representatives of the oracle's
+    candidates: same basis, same four stats."""
+    p, d = space.modulus, space.dimension
+    cands = brute_force_candidates(space.form, p, d)
+    reps = sorted(
+        (min(orbit, key=lambda v: vector_code(v, p)) for orbit in orbit_partition(cands, rows, p)),
+        key=lambda v: vector_code(v, p),
+    )
+    basis, *counts = first_slot_reference(space.form, p, d, reps)
+    result = search(space, symmetry=operator)
+    assert result.basis == basis
+    assert tuple(v for _, v in result.stats) == tuple(counts)
+    assert result.nodes_explored == counts[0]
+    return result.found
 
 
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (3, 5), (4, 3), (6, 2), (9, 2)])
@@ -140,9 +174,11 @@ def test_pn_serre_orbits_match_union_find(n, p):
 
 def test_random_isometry_orbits_match_union_find():
     rng = random.Random(44)
+    outcomes = set()
     for p, d in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)] * 3:
         space, t = _random_isometry(rng, p, d)
-        _check_orbits_against_union_find(space, t, t.rows)
+        outcomes.add(_check_orbits_against_union_find(space, t, t.rows))
+    assert outcomes == {True, False}
 
 
 def test_non_preserving_operator_rejected():
@@ -155,6 +191,13 @@ def test_non_preserving_operator_rejected():
                          [1, 0, 0, 0, 0]], 2)
     with pytest.raises(ValueError):
         serre_orbits(cands, shift)
+    # search walks the same orbits lazily and fails on the first bad one
+    with pytest.raises(ValueError, match="does not preserve the candidate set"):
+        search(space, symmetry=shift)
+    # e0 -> e1 -> e1 stays on candidates but never returns to e0
+    identity = FormSpace(2, 2, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="does not preserve the candidate set"):
+        search(identity, symmetry=ExactMatrix([[0, 0], [1, 1]], 2))
 
 
 def test_wilson_pairing_matrix_matches_reference():
@@ -356,15 +399,44 @@ def test_mutation_over_integers():
         assert verify_semi_orthonormal(space, out)
 
 
-def test_integer_candidate_box_enumeration():
+def test_integer_space_has_no_candidate_enumeration():
     gram = gram_from_twists(fake_projective_space(2), (0, -1, -2))
-    space = FormSpace.from_gram(gram)
-    cands = enumerate_candidates(space, box=1)
-    assert all(space.pair(v, v) == 1 for v in cands.vectors)
-    assert (1, 0, 0) in cands.vectors
-    assert len(set(cands.vectors)) == len(cands.vectors)
     with pytest.raises(ValueError):
-        enumerate_candidates(space)  # box required over Z
+        enumerate_candidates(FormSpace.from_gram(gram))
+
+
+def _oracle_forms(rng, p, d):
+    """Random forms (mostly non-symmetric) plus the zero form and forms with
+    A_00 = 0, the cases where the quadratic in x_0 degenerates."""
+    forms = [tuple(tuple(0 for _ in range(d)) for _ in range(d))]
+    for k in range(6):
+        rows = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        if k < 2:
+            rows[0][0] = 0
+        forms.append(tuple(map(tuple, rows)))
+    return forms
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_candidate_walk_matches_brute_force_oracle(p):
+    rng = random.Random(600 + p)
+    for d in range(1, 6):
+        for form in _oracle_forms(rng, p, d):
+            got = enumerate_candidates(FormSpace(d, p, form)).vectors
+            assert got == brute_force_candidates(form, p, d), (p, d, form)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_candidate_count_matches_closed_form(p):
+    rng = random.Random(700 + p)
+    for d in range(1, 6):
+        for form in _oracle_forms(rng, p, d):
+            got = len(enumerate_candidates(FormSpace(d, p, form)))
+            assert got == closed_form_candidate_count(form, p, d), (p, d, form)
+    for n in range(1, 5):
+        space = pn_space(n, p)
+        expected = closed_form_candidate_count(space.form, p, n + 1)
+        assert len(enumerate_candidates(space)) == expected
 
 
 def test_search_stats_present():

@@ -143,7 +143,7 @@ def k_phantom_pairs(records) -> tuple[tuple[FPPRecord, str], ...]:
     out = []
     for r in records:
         for g in ORDER7_SUBGROUPS:
-            if _aut_contains(r.aut, g) and k_phantom_eligible(r, g):
+            if k_phantom_eligible(r, g):
                 out.append((r, g))
     return tuple(out)
 
@@ -248,10 +248,6 @@ def dump_records(records) -> str:
             ]
         )
     return out.getvalue()
-
-
-def save_records(records, path) -> None:
-    Path(path).write_text(dump_records(records), encoding="utf-8")
 
 
 def default_dataset_path() -> Path:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import atlas as atlas_mod
 from . import reference as ref
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic
 from .eulerform import (
     EQUIVARIANT_ROWS,
     GramMatrix,
@@ -58,7 +58,6 @@ from .reptheory import (
     regular_character,
 )
 from .sonb import (
-    DEFAULT_ENUMERATION_CAP,
     FormSpace,
     enumerate_candidates,
     pairing_matrix,
@@ -153,15 +152,15 @@ def parse_polynomial(text: str) -> IntValuedPolynomial:
 
 
 def resolve_profile(args) -> HilbertProfile:
-    if getattr(args, "poly", None) and getattr(args, "profile", None):
+    if args.poly and args.profile:
         raise CliError("give either --profile or --poly, not both")
-    if getattr(args, "poly", None):
+    if args.poly:
         poly = parse_polynomial(args.poly)
         try:
             return profile_from_polynomial(poly, name="poly")
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    name = getattr(args, "profile", None)
+    name = args.profile
     if not name:
         raise CliError("a --profile or --poly is required")
     try:
@@ -183,18 +182,20 @@ def parse_twists(text: str) -> tuple[int, ...]:
         raise CliError(f"bad twist list {text!r}") from exc
 
 
-def resolve_gram(args) -> GramMatrix:
+def resolve_gram(args, report: Report) -> GramMatrix:
+    """The Gram matrix that --profile/--poly, --twists and --mod select, echoed as inputs."""
     profile = resolve_profile(args)
-    if getattr(args, "twists", None):
-        twists = parse_twists(args.twists)
-    else:
-        twists = tuple(range(profile.dimension + 1))
+    twists = parse_twists(args.twists) if args.twists else range(profile.dimension + 1)
     gram = gram_from_twists(profile, twists)
-    if getattr(args, "mod", None):
+    if args.mod is not None:
         try:
             gram = reduce_mod(gram, args.mod)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
+    report.add_input("profile", profile.name)
+    report.add_input("twists", ",".join(str(t) for t in gram.twists))
+    if gram.modulus:
+        report.add_input("mod", gram.modulus)
     return gram
 
 
@@ -227,16 +228,75 @@ def _cyc_str(x: Cyclotomic) -> str:
     return str(x)
 
 
+def _load_atlas(data):
+    """Records of the CSV at data, else of the default dataset; errors are CliErrors."""
+    try:
+        return atlas_mod.load_records(data or atlas_mod.default_dataset_path())
+    except FileNotFoundError as exc:
+        raise CliError(f"dataset not found: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read dataset: {exc}") from exc
+    except atlas_mod.AtlasError as exc:
+        raise CliError(str(exc)) from exc
+
+
+# -- shared checks --------------------------------------------------------------
+
+def _det_law(gram: GramMatrix, det):
+    """(deg^(n+1), whether det equals it, mod p on a reduced matrix), or None
+    unless the twists are consecutive and ascending."""
+    n = gram.profile.dimension
+    if gram.twists != tuple(range(gram.twists[0], gram.twists[0] + n + 1)):
+        return None
+    expected = gram.profile.deg ** (n + 1)
+    return expected, (det - expected) % gram.modulus == 0 if gram.modulus else det == expected
+
+
+def _serre_candidates(report: Report, space: FormSpace, operator):
+    """Candidate vectors and their orbits under the Serre operator, recorded."""
+    cands = enumerate_candidates(space)
+    orbits = serre_orbits(cands, operator)
+    report.add_record("candidates", len(cands))
+    report.add_record("orbit_sizes", ",".join(str(len(o)) for o in orbits))
+    return cands, orbits
+
+
+def _solution_set(report: Report) -> None:
+    sols = solve_hlfp0()
+    report.add_record("solutions", " ".join("{%d,%d}" % pair for pair in sols))
+    report.add_check("solution_set", sols == ref.HLFP0_SOLUTIONS,
+                     "six unordered pairs in two doubling orbits")
+
+
+def _exponents(report: Report, datum, expected_canonical) -> tuple[int, ...]:
+    """Record canonical and twist exponents, check the canonical ones; return the twist ones."""
+    canon = canonical_trace(datum)
+    twists = twist_traces(datum).exponents
+    report.add_record("canonical_exponents", ",".join(str(c) for c in canon))
+    report.add_record("twist_exponents", ",".join(str(t) for t in twists))
+    report.add_check("canonical_exponents", canon == expected_canonical)
+    return twists
+
+
+def _h0_traces(report: Report, datum, ks, b: Cyclotomic) -> dict[int, Cyclotomic]:
+    """Record the h0 trace at each k; at k = 0 it must be 1, at k = 4 the given b or bbar."""
+    traces = {}
+    for k in ks:
+        tr = traces[k] = h0_trace(datum, k)
+        report.add_record(f"trace_k{k}", _cyc_str(tr))
+        if k == 0:
+            report.add_check("trace_k0_is_one", tr == Cyclotomic.one(7))
+        if k == 4:
+            report.add_check(f"trace_k4_is_{_ALIASES[b]}", tr.lift_to(21) == b)
+    return traces
+
+
 # -- subcommands --------------------------------------------------------------
 
 def cmd_gram(args) -> Report:
     report = Report("gram")
-    gram = resolve_gram(args)
+    gram = resolve_gram(args, report)
     profile = gram.profile
-    report.add_input("profile", profile.name)
-    report.add_input("twists", ",".join(str(t) for t in gram.twists))
-    if gram.modulus:
-        report.add_input("mod", gram.modulus)
     report.add_record("dimension", profile.dimension)
     report.add_record("deg", profile.deg)
     report.add_matrix("matrix", gram.base.rows)
@@ -249,19 +309,15 @@ def cmd_gram(args) -> Report:
             f"{gram.modulus} divides deg = {profile.deg}: semi-orthonormal "
             "transfer is not guaranteed at this prime"
         )
-    n = profile.dimension
-    if gram.twists == tuple(range(gram.twists[0], gram.twists[0] + n + 1)):
-        expected = profile.deg ** (n + 1)
-        if gram.modulus:
-            ok = (det - expected) % gram.modulus == 0
-            detail = f"det = {det} matches deg^(n+1) = {expected} mod {gram.modulus}"
-        else:
-            ok = det == expected
-            detail = f"det = {det} = deg^(n+1) = {expected}"
-        report.add_check("det_formula", ok, detail)
-    else:
+    law = _det_law(gram, det)
+    if law is None:
         report.add_note("det formula applies to consecutive ascending twists only")
-    if getattr(args, "expect_exceptional", False):
+    elif gram.modulus:
+        report.add_check("det_formula", law[1],
+                         f"det = {det} matches deg^(n+1) = {law[0]} mod {gram.modulus}")
+    else:
+        report.add_check("det_formula", law[1], f"det = {det} = deg^(n+1) = {law[0]}")
+    if args.expect_exceptional:
         report.add_check("numerically_exceptional", nexc)
     return report
 
@@ -283,8 +339,8 @@ def cmd_detcheck(args) -> Report:
             coeffs = [rng.randrange(-9, 10) for _ in range(d)]
             coeffs.append(rng.choice([c for c in range(-9, 10) if c]))
             profile = profile_from_polynomial(IntValuedPolynomial.from_binomial(coeffs))
-            det = gram_from_twists(profile, range(d + 1)).determinant()
-            failures += det != coeffs[-1] ** (d + 1)
+            gram = gram_from_twists(profile, range(d + 1))
+            failures += not _det_law(gram, gram.determinant())[1]
         report.add_record("checked", args.sample)
         report.add_check(
             "determinant_identity_sample",
@@ -294,23 +350,19 @@ def cmd_detcheck(args) -> Report:
         return report
     profile = resolve_profile(args)
     report.add_input("profile", profile.name)
-    n = profile.dimension
-    det = gram_from_twists(profile, range(n + 1)).determinant()
-    expected = profile.deg ** (n + 1)
+    gram = gram_from_twists(profile, range(profile.dimension + 1))
+    det = gram.determinant()
+    expected, ok = _det_law(gram, det)
     report.add_record("determinant", det)
     report.add_record("expected", expected)
-    report.add_check("determinant_identity", det == expected,
+    report.add_check("determinant_identity", ok,
                      f"det = {det}, (n! p_n)^(n+1) = {expected}")
     return report
 
 
 def cmd_serre(args) -> Report:
     report = Report("serre")
-    gram = resolve_gram(args)
-    report.add_input("profile", gram.profile.name)
-    report.add_input("twists", ",".join(str(t) for t in gram.twists))
-    if gram.modulus:
-        report.add_input("mod", gram.modulus)
+    gram = resolve_gram(args, report)
     try:
         op = serre_operator(gram)
     except ValueError as exc:
@@ -336,18 +388,13 @@ def cmd_sonb(args) -> Report:
     if args.matrix:
         if not args.mod and not args.verify_basis:
             raise CliError("--matrix needs --mod (or --verify-basis over Z)")
-        matrix = parse_matrix(args.matrix, args.mod or 0)
-        space = FormSpace.from_matrix(matrix)
+        source_matrix = parse_matrix(args.matrix, args.mod or 0)
         report.add_input("matrix", args.matrix)
-        source_matrix = matrix
+        if args.mod:
+            report.add_input("mod", args.mod)
     else:
-        gram = resolve_gram(args)
-        report.add_input("profile", gram.profile.name)
-        report.add_input("twists", ",".join(str(t) for t in gram.twists))
-        space = FormSpace.from_gram(gram)
-        source_matrix = gram.base
-    if space.modulus:
-        report.add_input("mod", space.modulus)
+        source_matrix = resolve_gram(args, report).base
+    space = FormSpace.from_matrix(source_matrix)
 
     if args.verify_basis:
         basis = parse_vectors(args.verify_basis, space.dimension)
@@ -357,11 +404,6 @@ def cmd_sonb(args) -> Report:
 
     if not space.modulus:
         raise CliError("integer spaces support --verify-basis only")
-    if space.total_vectors > DEFAULT_ENUMERATION_CAP:
-        raise CliError(
-            f"enumeration cap exceeded: {space.modulus}^{space.dimension} = "
-            f"{space.total_vectors} vectors > {DEFAULT_ENUMERATION_CAP}"
-        )
 
     symmetry = None
     if args.symmetry == "serre":
@@ -369,17 +411,17 @@ def cmd_sonb(args) -> Report:
             symmetry = source_matrix.inverse() * source_matrix.transpose()
         except ValueError as exc:
             raise CliError(f"cannot build Serre operator: {exc}") from exc
-        cands = enumerate_candidates(space)
-        orbits = serre_orbits(cands, symmetry)
-        report.add_record("candidates", len(cands))
-        report.add_record("orbit_sizes", ",".join(str(len(o)) for o in orbits))
-    elif space.total_vectors <= 1 << 16:
-        report.add_record("candidates", len(enumerate_candidates(space)))
-    else:
-        report.add_note("candidate count skipped on a large space; the search "
-                        "enumerates feasible vectors lazily")
-
-    result = search(space, symmetry=symmetry)
+    try:  # enumeration and search raise ValueError past the enumeration cap
+        if symmetry is not None:
+            _serre_candidates(report, space, symmetry)
+        elif space.total_vectors <= 1 << 16:
+            report.add_record("candidates", len(enumerate_candidates(space)))
+        else:
+            report.add_note("candidate count skipped on a large space; the search "
+                            "enumerates feasible vectors lazily")
+        result = search(space, symmetry=symmetry)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     report.add_record("outcome", "found" if result.found else "exhausted")
     report.add_record("nodes", result.nodes_explored)
     if result.found:
@@ -395,39 +437,13 @@ def cmd_sonb(args) -> Report:
 def cmd_lefschetz(args) -> Report:
     report = Report("lefschetz")
     report.add_input("branch", args.branch)
-    datum = default_branch() if args.branch == "default" else conjugate_branch()
-    sols = solve_hlfp0()
-    report.add_record(
-        "solutions", " ".join("{%d,%d}" % pair for pair in sols)
-    )
-    report.add_check(
-        "solution_set",
-        sols == ref.HLFP0_SOLUTIONS,
-        "six unordered pairs in two doubling orbits",
-    )
-    report.add_record(
-        "exponent_pairs",
-        " ".join("(%d,%d)" % p for p in datum.exponent_pairs),
-    )
-    canon = canonical_trace(datum)
-    report.add_record("canonical_exponents", ",".join(str(c) for c in canon))
-    table = twist_traces(datum)
-    report.add_record("twist_exponents", ",".join(str(t) for t in table.exponents))
-    expected_canonical = (
-        ref.CANONICAL_EXPONENTS if args.branch == "default" else ref.CONJUGATE_CANONICAL_EXPONENTS
-    )
-    report.add_check("canonical_exponents", canon == expected_canonical)
-    ks = args.k if args.k else [0, 4]
-    b7 = root_of_unity(7, 1) + root_of_unity(7, 2) + root_of_unity(7, 4)
-    for k in ks:
-        tr = h0_trace(datum, k)
-        report.add_record(f"trace_k{k}", _cyc_str(tr))
-        if k == 0:
-            report.add_check("trace_k0_is_one", tr == Cyclotomic.one(7))
-        if k == 4:
-            expected = b7.conjugate() if args.branch == "default" else b7
-            name = "bbar" if args.branch == "default" else "b"
-            report.add_check(f"trace_k4_is_{name}", tr == expected)
+    default = args.branch == "default"
+    datum = default_branch() if default else conjugate_branch()
+    _solution_set(report)
+    report.add_record("exponent_pairs", " ".join("(%d,%d)" % p for p in datum.exponent_pairs))
+    _exponents(report, datum,
+               ref.CANONICAL_EXPONENTS if default else ref.CONJUGATE_CANONICAL_EXPONENTS)
+    _h0_traces(report, datum, args.k or (0, 4), B_BAR if default else B)
     return report
 
 
@@ -532,16 +548,8 @@ def _record_row(report, i, r):
 
 def cmd_atlas(args) -> Report:
     report = Report("atlas")
-    path = args.data or atlas_mod.default_dataset_path()
-    report.add_input("data", path if args.data else "default")
-    try:
-        records = atlas_mod.load_records(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"dataset not found: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read dataset: {exc}") from exc
-    except atlas_mod.AtlasError as exc:
-        raise CliError(str(exc)) from exc
+    records = _load_atlas(args.data)
+    report.add_input("data", args.data or "default")
 
     if args.count:
         report.add_record("records", len(records))
@@ -630,12 +638,9 @@ def _reproduce_wilson(report: Report) -> None:
     report.add_check("serre_order", order == ref.WILSON_SERRE_ORDER)
 
     space = FormSpace.from_gram(gram)
-    cands = enumerate_candidates(space)
-    report.add_record("candidates", len(cands))
+    cands, orbits = _serre_candidates(report, space, op)
     report.add_check("candidate_count", len(cands) == ref.WILSON_CANDIDATE_COUNT)
-    orbits = serre_orbits(cands, op)
     sizes = tuple(len(o) for o in orbits)
-    report.add_record("orbit_sizes", ",".join(str(s) for s in sizes))
     report.add_check("orbit_sizes", sorted(sizes, reverse=True) == list(ref.WILSON_ORBIT_SIZES))
     gens = tuple(o[0] for o in orbits)
     report.add_check("orbit_generators", gens == ref.WILSON_ORBIT_GENERATORS,
@@ -660,8 +665,10 @@ def _reproduce_wilson(report: Report) -> None:
     )
 
 
-def _reproduce_keum(report: Report) -> None:
-    records = atlas_mod.load_default()
+def _reproduce_keum(report: Report, data) -> None:
+    records = _load_atlas(data)
+    if data:
+        report.add_input("data", data)
     g21 = atlas_mod.query_aut(records, "G21")
     report.add_record("surfaces", g21.surface_count)
     report.add_check("six_surfaces", g21.surface_count == 6)
@@ -671,26 +678,12 @@ def _reproduce_keum(report: Report) -> None:
         "a canonical cube root O(1) exists on each surface",
     )
 
-    sols = solve_hlfp0()
-    report.add_record("solutions", " ".join("{%d,%d}" % p for p in sols))
-    report.add_check("solution_set", sols == ref.HLFP0_SOLUTIONS)
+    _solution_set(report)
     datum = default_branch()
-    canon = canonical_trace(datum)
-    twists = twist_traces(datum).exponents
-    report.add_record("canonical_exponents", ",".join(str(c) for c in canon))
-    report.add_record("twist_exponents", ",".join(str(t) for t in twists))
-    report.add_check("canonical_exponents", canon == ref.CANONICAL_EXPONENTS)
+    twists = _exponents(report, datum, ref.CANONICAL_EXPONENTS)
     report.add_check("twist_exponents", twists == ref.TWIST_EXPONENTS)
-
-    t0 = h0_trace(datum, 0)
-    report.add_record("trace_k0", _cyc_str(t0))
-    report.add_check("trace_k0_is_one", t0 == Cyclotomic.one(7))
-    t4 = h0_trace(datum, 4)
-    report.add_record("trace_k4", _cyc_str(t4))
-    b7 = root_of_unity(7, 1) + root_of_unity(7, 2) + root_of_unity(7, 4)
-    report.add_check("trace_k4_is_bbar", t4 == b7.conjugate())
-    conj4 = h0_trace(conjugate_branch(), 4)
-    report.add_check("conjugate_trace_k4_is_b", conj4 == b7)
+    t4 = _h0_traces(report, datum, (0, 4), B_BAR)[4]
+    report.add_check("conjugate_trace_k4_is_b", h0_trace(conjugate_branch(), 4).lift_to(21) == B)
 
     verdict = classify_h0(3, t4)
     report.add_record("h0_O4_class", f"{verdict.verdict}"
@@ -751,7 +744,7 @@ def cmd_reproduce(args) -> Report:
     if args.target == "wilson":
         _reproduce_wilson(report)
     elif args.target == "keum":
-        _reproduce_keum(report)
+        _reproduce_keum(report, args.data)
     else:
         _reproduce_equivariant(report)
     return report
@@ -766,36 +759,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument("--data", help="atlas CSV override")
-
-    profile_common = argparse.ArgumentParser(add_help=False)
-    profile_common.add_argument("--profile", help="wilson, pn:N or fake-pn:N")
-    profile_common.add_argument("--poly", help='coefficients "1,-3/2,1/2" or "roots:1,2;scale:1/2"')
-    profile_common.add_argument("--twists", help="comma-separated twist integers")
-    profile_common.add_argument("--mod", type=int, help="reduce modulo a prime")
+    data_opts = argparse.ArgumentParser(add_help=False, parents=[common])
+    data_opts.add_argument("--data", help="atlas CSV override")
+    profile_opts = argparse.ArgumentParser(add_help=False, parents=[common])
+    profile_opts.add_argument("--profile", help="wilson, pn:N or fake-pn:N")
+    profile_opts.add_argument("--poly", help='coefficients "1,-3/2,1/2" or "roots:1,2;scale:1/2"')
+    gram_opts = argparse.ArgumentParser(add_help=False, parents=[profile_opts])
+    gram_opts.add_argument("--twists", help="comma-separated twist integers")
+    gram_opts.add_argument("--mod", type=int, help="reduce modulo a prime")
 
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("gram", parents=[common, profile_common],
+    p = sub.add_parser("gram", parents=[gram_opts],
                        help="build a Gram matrix and check the determinant law")
     p.add_argument("--expect-exceptional", action="store_true",
                    help="fail unless the matrix is numerically exceptional")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("detcheck", parents=[common, profile_common],
+    p = sub.add_parser("detcheck", parents=[profile_opts],
                        help="verify det(A_P) = (n! p_n)^(n+1)")
+    p.add_argument("--seed", type=int, default=0, help="seed for --sample")
     p.add_argument("--sample", type=int, default=0,
                    help="check N seeded random integer-valued polynomials")
     p.add_argument("--max-degree", type=int, default=6)
     p.set_defaults(func=cmd_detcheck)
 
-    p = sub.add_parser("serre", parents=[common, profile_common],
+    p = sub.add_parser("serre", parents=[gram_opts],
                        help="Serre operator of a Gram matrix")
     p.add_argument("--order-bound", type=int)
     p.set_defaults(func=cmd_serre)
 
-    p = sub.add_parser("sonb", parents=[common, profile_common],
+    p = sub.add_parser("sonb", parents=[gram_opts],
                        help="search for a semi-orthonormal basis")
     p.add_argument("--matrix", help='raw form matrix "1,1;0,1"')
     p.add_argument("--symmetry", choices=("off", "serre"), default="off")
@@ -819,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regular", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("atlas", parents=[common],
+    p = sub.add_parser("atlas", parents=[data_opts],
                        help="query the fake-projective-plane table")
     p.add_argument("--count", action="store_true")
     p.add_argument("--verify", action="store_true",
@@ -829,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-phantom", action="store_true")
     p.set_defaults(func=cmd_atlas)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[data_opts],
                        help="replay a full verification pipeline")
     p.add_argument("target", choices=("wilson", "keum", "equivariant"))
     p.set_defaults(func=cmd_reproduce)

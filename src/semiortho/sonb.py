@@ -84,15 +84,6 @@ class FormSpace:
                 s += ui * sum(row[j] * v[j] for j in range(self.dimension))
         return s % self.modulus if self.modulus else s
 
-    def constraint_vector(self, e) -> tuple[int, ...]:
-        """w with (x, e) = x . w for all x; that is, w = A e."""
-        p = self.modulus
-        out = []
-        for i in range(self.dimension):
-            s = sum(self.form[i][j] * e[j] for j in range(self.dimension))
-            out.append(s % p if p else s)
-        return tuple(out)
-
     @property
     def total_vectors(self) -> int:
         if not self.modulus:
@@ -356,7 +347,7 @@ def search(
             grown.append((pc, row))
             grown.sort()
             chosen.append(x)
-            constraints.append(space.constraint_vector(x))
+            constraints.append(_apply(space.form, x, p))  # A x: (y, x) = y . A x
             nodes += 1
             result = dfs(tuple(grown))
             if result is not None:

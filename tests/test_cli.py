@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,47 @@ def test_atlas_missing_data():
     assert code == 2
 
 
+def test_reproduce_keum_reads_data(tmp_path):
+    alt = tmp_path / "two.csv"
+    alt.write_text(dump_records(load_default()[:2]), encoding="utf-8")
+    code, out = run_cli("reproduce", "keum", "--data", str(alt), "--format", "machine")
+    assert code == 1
+    assert f"input.data={alt}\n" in out
+    assert "check.six_surfaces=FAIL" in out
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("reproduce", "keum", "--data", "/nonexistent"), None),
+    (("reproduce", "keum"), "/nonexistent.csv"),
+    (("atlas", "--count"), "/nonexistent.csv"),
+])
+def test_missing_dataset_is_a_data_error(argv, env, monkeypatch, capsys):
+    if env:
+        monkeypatch.setenv("SEMIORTHO_ATLAS", env)
+    assert run_cli(*argv, "--format", "machine") == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset not found") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--profile", "wilson", "--seed", "1"),
+    ("detcheck", "--profile", "pn:3", "--mod", "3"),
+    ("detcheck", "--profile", "pn:3", "--twists", "0,1,2,3"),
+    ("lefschetz", "--data", "fpp.csv"),
+    ("reproduce", "wilson", "--seed", "1"),
+])
+def test_unread_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--format", "machine")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_gram_mod_zero_is_a_usage_error(capsys):
+    assert run_cli("gram", "--profile", "pn:2", "--mod", "0", "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == "error: 0 is not prime\n"
+
+
 def test_reproduce_wilson():
     code, out = run_cli("reproduce", "wilson", "--format", "machine")
     assert code == 0
@@ -356,3 +398,77 @@ def test_parse_polynomial_forms():
     assert parse_polynomial("1,-3/2,1/2")(3) == 1
     with pytest.raises(Exception):
         parse_polynomial("roots:1,2;oops:3")
+
+
+def _fuzz_argv(rng, data_paths):
+    """One argv over the subcommands, their options and small values, mostly valid."""
+    pick = rng.choice
+    profile = ["--profile", pick(["wilson", "pn:1", "pn:2", "pn:3", "fake-pn:2", "fake-pn:3",
+                                  "pn:0", "pn:x", "bogus"])]
+    poly = ["--poly", pick(["1", "1,1", "0,0,1/2", "roots:1,2;scale:1/2", "roots:0,1,2;scale:1/6",
+                            "0,1/2", "banana", "roots:1;oops:2"])]
+    source = pick([profile, profile, profile, poly, profile + poly, []])
+    twists = ["--twists", pick(["0,1", "0,-1,-2", "2,0,1", "1,2,3", "0,1,2,3", "3", "a,b", ""])]
+    mod = ["--mod", pick(["2", "3", "5", "2", "3", "5", "0", "4", "-3"])]
+    data = ["--data", pick(data_paths)]
+    options = {
+        "gram": [twists, mod, ["--expect-exceptional"]],
+        "detcheck": [["--sample", pick(["-1", "0", "3", "5"])],
+                     ["--max-degree", pick(["0", "1", "3", "6"])], ["--seed", str(rng.randrange(99))]],
+        "serre": [twists, mod, ["--order-bound", pick(["-1", "0", "1", "8", "50"])]],
+        "sonb": [twists, mod, ["--symmetry", pick(["off", "serre"])],
+                 ["--verify-basis", pick(["1,0;0,1", "1,0,0;0,1,0;0,0,1", "1,1,0;0,1,1;0,0,1", "z"])]],
+        "lefschetz": [["--branch", pick(["default", "conjugate"])],
+                      ["--k", pick(["-2", "0", "1", "4", "7"])], ["--k", pick(["0", "4"])]],
+        "chartable": [],
+        "decompose": [["--chi", pick(["C+2*V1+V3bar", "V3-V3", "-C", "3*V3bar", "C+V9", "2x*V1",
+                                      "V1++", ""])],
+                      ["--regular"]],
+        "atlas": [data, ["--count"], ["--verify"], ["--aut", pick(["G21", "Z/3", "trivial", "Z/9"])],
+                  ["--three-torsion-free"], ["--k-phantom"]],
+        "reproduce": [data],
+    }
+    cmd = pick(sorted(options))
+    argv = [cmd]
+    if cmd in ("gram", "detcheck", "serre"):
+        argv += source
+    elif cmd == "sonb":
+        argv += pick([source, ["--matrix", pick(["1,1;0,1", "1,0;0,1", "1,2;3,4", "0,0;0,0",
+                                                 "1,1,0;0,1,1;0,0,1", "1,x"])]])
+    elif cmd == "reproduce":
+        argv.append(pick(["wilson", "keum", "keum", "equivariant", "bogus"]))
+    for option in options[cmd]:
+        if rng.random() < 0.4:
+            argv += option
+    if rng.random() < 0.05:  # an option that belongs to another subcommand
+        argv += pick([o for opts in options.values() for o in opts] + [profile, poly])
+    return argv + ["--format", "machine"]
+
+
+def test_fuzz_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    two = tmp_path / "two.csv"
+    two.write_text(dump_records(load_default()[:2]), encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,an,atlas\n", encoding="utf-8")
+    data_paths = [str(two), str(bad), str(tmp_path), "/nonexistent.csv"]
+    rng = random.Random(20130)
+    cases = [(["reproduce", "keum", "--format", "machine"], "/nonexistent.csv")]
+    for _ in range(300):
+        env = "/nonexistent.csv" if rng.random() < 0.1 else None
+        cases.append((_fuzz_argv(rng, data_paths), env))
+    for argv, env in cases:
+        if env:
+            monkeypatch.setenv("SEMIORTHO_ATLAS", env)
+        else:
+            monkeypatch.delenv("SEMIORTHO_ATLAS", raising=False)
+        try:
+            code, out = run_cli(*argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code, out = exc.code, capsys.readouterr().out
+            assert code == 2, argv
+        assert code in (0, 1, 2), argv
+        failed = any(line.startswith("check.") and line.endswith("=FAIL")
+                     for line in out.splitlines())
+        assert (code == 1) == failed, argv
+        assert (code == 2) == (out == ""), argv
+        capsys.readouterr()

@@ -196,7 +196,7 @@ def load_records(source) -> tuple[FPPRecord, ...]:
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1)
             if row and any(cell for cell in row)]
     if not rows:
-        return ()
+        raise AtlasError("empty dataset: the header row is required")
     if tuple(rows[0][1]) != CSV_HEADER:
         raise AtlasError(f"row {rows[0][0]}: bad header {rows[0][1]!r}")
     records = []

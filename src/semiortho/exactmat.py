@@ -11,6 +11,7 @@ point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import isqrt, lcm
 
 
@@ -102,29 +103,13 @@ class ExactMatrix:
             out.append(row)
         return ExactMatrix(out, p)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = ExactMatrix.identity(self.size, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def apply(self, vector):
         """Matrix-vector product, reduced mod p when applicable."""
-        n = self.size
-        if len(vector) != n:
+        if len(vector) != self.size:
             raise ValueError("vector length mismatch")
         p = self.modulus
-        out = []
-        for i in range(n):
-            s = sum(self.rows[i][j] * vector[j] for j in range(n))
-            out.append(s % p if p else s)
-        return tuple(out)
+        sums = (sum(a * b for a, b in zip(row, vector)) for row in self.rows)
+        return tuple(s % p if p else s for s in sums)
 
     def determinant(self):
         """Exact determinant: int mod p, Fraction in characteristic zero."""
@@ -230,26 +215,69 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _code_action(rows, p: int, work: int):
+    """code(x) -> code(M x mod p) for the F_p matrix M with these rows (codes
+    as in ``sonb.vector_code``), by Four Russians tables (Arlazarov, Dinic,
+    Kronrod and Faradzev, 1970).  Each chunk of k input digits indexes its
+    packed image sum x_j col_j, one w-bit field per output coordinate (w bits
+    hold d(p-1)^2, so fields never carry), and each g packed fields index
+    their base-p digits mod p.  k and g minimise work * lookups + table
+    entries for about work calls, so small inputs get small tables.
+    """
+    def sums(levels):  # every sum of one value per level, the first varying fastest
+        return reduce(lambda table, values: [v + t for v in values for t in table], levels, [0])
+
+    d = len(rows)
+    w = (d * (p - 1) ** 2).bit_length()
+    k = min(range(1, d + 1), key=lambda k: -(-d // k) * (work + p**k), default=1)
+    g = min(range(1, d + 1), key=lambda g: -(-d // g) * work + (1 << g * w), default=1)
+    cols = [sum(rows[i][j] % p << i * w for i in range(d)) for j in range(d)]
+    tables = [sums([[x * c for x in range(p)] for c in cols[lo:lo + k]]) for lo in range(0, d, k)]
+    digits = sums([[x % p * p**i for x in range(1 << w)] for i in range(g)])
+    chunk, top, mask = p**k, p**g, (1 << g * w) - 1
+    shifts = [i * w for i in reversed(range(0, d, g))]
+
+    def act(code):
+        packed = 0
+        for table in tables:
+            packed += table[code % chunk]
+            code //= chunk
+        out = 0
+        for shift in shifts:
+            out = out * top + digits[packed >> shift & mask]
+        return out
+
+    return act
+
+
 def matrix_order(matrix: ExactMatrix, bound: int | None = None) -> int | None:
     """Smallest k >= 1 with matrix**k = identity, or None if none within bound.
 
-    The default bound mod p is 2 * p**size (a crude cap on the order of any
-    element of GL_size(F_p) relevant here); in characteristic zero a bound
-    must be supplied since orders can be infinite.
+    The order is the lcm of the cycle lengths of the unit vectors e_i, each
+    walked until it returns (as a code through ``_code_action`` mod p, by
+    ``apply`` over Q); None once a walk or the lcm passes bound.  The default
+    bound mod p is 2 * p**size (a crude cap on the order of any element of
+    GL_size(F_p) relevant here); in characteristic zero a bound must be
+    supplied since orders can be infinite.
     """
-    d = matrix.determinant()
-    if d == 0:
+    if matrix.determinant() == 0:
         raise ValueError("matrix is not invertible")
+    p, n = matrix.modulus, matrix.size
     if bound is None:
-        if matrix.modulus == 0:
+        if p == 0:
             raise ValueError("an explicit bound is required in characteristic zero")
-        bound = 2 * matrix.modulus ** matrix.size
-    acc = matrix
-    for k in range(1, bound + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * matrix
-    return None
+        bound = 2 * p**n
+    step = _code_action(matrix.rows, p, n * n) if p else matrix.apply  # n walks of about n steps
+    starts = [p**i for i in range(n)] if p else ExactMatrix.identity(n).rows
+    order = 1
+    for start in starts:
+        x, length = step(start), 1
+        while x != start:
+            if length >= bound:
+                return None
+            x, length = step(x), length + 1
+        order = lcm(order, length)
+    return order if order <= bound else None
 
 
 def lattice_index_squared(gram: ExactMatrix) -> int | None:

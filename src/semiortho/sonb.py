@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eulerform import GramMatrix, SerreOperator
-from .exactmat import ExactMatrix, is_prime, rref
+from .exactmat import ExactMatrix, _code_action, is_prime, rref
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -144,6 +144,7 @@ def enumerate_candidates(space: FormSpace, cap: int = DEFAULT_ENUMERATION_CAP) -
                  c + v * s[k] + a[k][k] * v * v, (v,) + tail)
 
     walk(d - 1, [0] * d, 0, ())
+    del walk  # it refers to itself: free vecs now, not at a later cyclic collection
     return CandidateSet(space, tuple(vecs))
 
 
@@ -165,11 +166,11 @@ _NOT_PRESERVED = "operator does not preserve the candidate set (form-preservatio
 def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partition candidates into orbits of the (form-preserving) operator.
 
-    Each orbit is listed from its canonically least representative by
-    repeated application; orbits are sorted by their representative, in one
-    pass over the candidate codes in increasing order (the identity mod p
-    is not applied).  Raises if the operator fails to map the candidate set
-    to itself.
+    Each orbit is walked from its canonically least representative as a
+    cycle of codes (``vector_code``) through the tables of
+    ``exactmat._code_action``; orbits are sorted by their representative, in
+    one pass over the codes in increasing order (the identity mod p is not
+    applied).  Raises if a walk leaves the candidate set or does not return.
     """
     space = candidates.space
     p = space.modulus
@@ -179,19 +180,19 @@ def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, .
     remaining = {vector_code(v, p): v for v in candidates.vectors}
     if all(x % p == (i == j) for i, r in enumerate(rows) for j, x in enumerate(r)):
         return tuple((remaining[code],) for code in sorted(remaining))
+    act = _code_action(rows, p, len(remaining))
     orbits = []
     for rep_code in sorted(remaining):
         rep = remaining.pop(rep_code, None)
         if rep is None:  # already in the orbit of a smaller code
             continue
         orbit = [rep]
-        cur = _apply(rows, rep, p)
-        while cur != rep:
-            code = vector_code(cur, p)
+        code = act(rep_code)
+        while code != rep_code:
             if code not in remaining:
                 raise ValueError(_NOT_PRESERVED)
             orbit.append(remaining.pop(code))
-            cur = _apply(rows, cur, p)
+            code = act(code)
         orbits.append(tuple(orbit))
     return tuple(orbits)
 

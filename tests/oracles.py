@@ -8,9 +8,11 @@ a Phi_n built from the Moebius product, with inverses from a linear solve.
 Integer-valued polynomials are evaluated term by term in the binomial basis,
 and orbits come from a union-find over the operator's graph.  Candidate sets
 are a scan of every vector, and their sizes also follow in closed form from
-the rank and discriminant of a congruence-diagonalized form; the proof tree
-of a symmetric search is a walk that tests dependence against the set of
-all vectors of the span.
+the rank and discriminant of a congruence-diagonalized form (odd p) or from
+a symplectic reduction and the Arf invariant (p = 2); orbit sizes follow by
+Moebius inversion of the closed-form counts on the fixed spaces of the
+operator's powers.  The proof tree of a symmetric search is a walk that
+tests dependence against the set of all vectors of the span.
 """
 
 from fractions import Fraction
@@ -120,9 +122,10 @@ def _legendre(a, p):
 
 
 def closed_form_candidate_count(form, p, dimension):
-    """#{x in F_p^d : x^t A x = 1} for odd p without enumeration.
+    """#{x in F_p^d : x^t A x = 1} without enumeration.
 
-    The quadratic form x^t A x has the symmetric matrix B = (A + A^t) / 2.
+    p = 2 goes to the Arf invariant count ``_count_mod2``.  For odd p, the
+    quadratic form x^t A x has the symmetric matrix B = (A + A^t) / 2.
     Congruence diagonalization gives its rank r and the discriminant D, the
     product of the nonzero diagonal entries.  With radical of dimension
     d - r the count is p^(d-r) * N_r(1), where for a nondegenerate form in r
@@ -131,7 +134,8 @@ def closed_form_candidate_count(form, p, dimension):
       r even: N_r(1) = p^(r-1) - p^((r-2)/2) * eta((-1)^(r/2) * D),
     and eta is the quadratic character of F_p.
     """
-    assert p % 2, "the closed form needs odd p"
+    if p == 2:
+        return _count_mod2(form, dimension)
     d = dimension
     half = pow(2, -1, p)
     b = [[(form[i][j] + form[j][i]) * half % p for j in range(d)] for i in range(d)]
@@ -167,6 +171,108 @@ def closed_form_candidate_count(form, p, dimension):
     else:
         n_r = p ** (r - 1) - p ** ((r - 2) // 2) * _legendre((-1) ** (r // 2) * disc, p)
     return p ** (d - r) * n_r
+
+
+def _count_mod2(form, dimension):
+    """#{x in F_2^d : x^t A x = 1} without enumeration.
+
+    Over F_2, Q(x) = x^t A x has the alternating polar form B = A + A^t, and
+    Q is additive on the radical R of B.  A symplectic reduction of B splits
+    F_2^d into R and m hyperbolic pairs (e_i, f_i), rank B = 2m.  If Q is
+    nonzero somewhere on R, adding such a radical vector swaps Q = 0 and
+    Q = 1, so the count is 2^(d-1).  Otherwise Q lives on F_2^d / R, a
+    nondegenerate form of Arf invariant a = sum Q(e_i) Q(f_i), and the count
+    is 2^(d-2m) * (2^(2m-1) - (-1)^a * 2^(m-1)) (Lidl and Niederreiter,
+    Finite Fields, ch. 6), which is 0 when m = 0.
+    """
+    d = dimension
+
+    def q(x):
+        return sum(x[i] * form[i][j] * x[j] for i in range(d) for j in range(d)) % 2
+
+    def b(x, y):
+        return (q([(u + v) % 2 for u, v in zip(x, y)]) + q(x) + q(y)) % 2
+
+    rest = [[int(i == j) for j in range(d)] for i in range(d)]
+    radical, arf, m = [], 0, 0
+    while rest:
+        e = rest.pop()
+        f = next((y for y in rest if b(e, y)), None)
+        if f is None:  # e is orthogonal to rest and to every pair split off
+            radical.append(e)
+            continue
+        rest.remove(f)
+        arf ^= q(e) & q(f)
+        m += 1
+        # make the rest orthogonal to e and f: y + B(y, f) e + B(y, e) f
+        rest = [[(y_ + b(y, f) * e_ + b(y, e) * f_) % 2 for y_, e_, f_ in zip(y, e, f)]
+                for y in rest]
+    if any(q(r) for r in radical):
+        return 2 ** (d - 1)
+    if m == 0:
+        return 0
+    return 2 ** (d - 2 * m) * (2 ** (2 * m - 1) - (-1) ** arf * 2 ** (m - 1))
+
+
+def _mat_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _kernel(rows, p, d):
+    """A basis of {x : rows x = 0 (mod p)}, by Gauss-Jordan elimination."""
+    m = [[x % p for x in r] for r in rows]
+    pivots = []
+    for col in range(d):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [(x - m[i][col] * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(d) if c not in pivots):
+        x = [0] * d
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -m[r][free] % p
+        basis.append(x)
+    return basis
+
+
+def orbit_sizes_by_moebius(form, rows, p, dimension):
+    """Sorted orbit sizes of x -> S x (S given by rows, an isometry of the
+    form) on {x : x^t A x = 1}, without enumerating the space.
+
+    F(k), the number of candidates fixed by S^k, is the closed-form count of
+    the form restricted to ker(S^k - I).  The candidates on orbits of size
+    exactly m number sum over k | m of mu(m/k) F(k), and every orbit size
+    divides the order of S, found by repeated multiplication.
+    """
+    d = dimension
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    powers = [None, [[x % p for x in r] for r in rows]]
+    while powers[-1] != identity:
+        powers.append(_mat_mul(powers[-1], powers[1], p))
+    order = len(powers) - 1
+
+    def fixed(k):
+        basis = _kernel([[x - y for x, y in zip(r, e)] for r, e in zip(powers[k], identity)], p, d)
+        restricted = [[sum(u[i] * form[i][j] * v[j] for i in range(d) for j in range(d)) % p
+                       for v in basis] for u in basis]
+        return closed_form_candidate_count(restricted, p, len(basis))
+
+    f = {k: fixed(k) for k in range(1, order + 1) if order % k == 0}
+    sizes = []
+    for m in f:
+        exact = sum(_moebius(m // k) * f[k] for k in f if m % k == 0)
+        assert exact % m == 0, (m, exact)
+        sizes += [m] * (exact // m)
+    return sorted(sizes)
 
 
 def first_slot_reference(form, p, dimension, first_slot):

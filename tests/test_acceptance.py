@@ -223,8 +223,9 @@ def test_criterion_9_deduction_chain():
 
 
 def test_criterion_10_serre_search_and_candidates_scale():
-    # A symmetric search must not enumerate the space, and candidate
-    # enumeration must walk p^(d-1) prefixes rather than all p^d vectors.
+    # A symmetric search must not enumerate the space, candidate enumeration
+    # must walk p^(d-1) prefixes rather than all p^d vectors, and the orbit
+    # partition must apply the operator by table lookups on codes.
     gram = reduce_mod(gram_from_twists(projective_space(6), range(7)), 7)
     start = time.perf_counter()
     result = search(FormSpace.from_gram(gram), symmetry=serre_operator(gram))
@@ -235,3 +236,11 @@ def test_criterion_10_serre_search_and_candidates_scale():
     start = time.perf_counter()
     ok = len(enumerate_candidates(space)) == 16464
     report(10, "candidates-pn5-mod7", ok, 1.0, time.perf_counter() - start)
+
+    gram = reduce_mod(gram_from_twists(projective_space(14), range(15)), 2)
+    candidates = enumerate_candidates(FormSpace.from_gram(gram))
+    op = serre_operator(gram)
+    start = time.perf_counter()
+    orbits = serre_orbits(candidates, op)
+    ok = len(candidates) == 16256 and len(orbits) == 1024
+    report(10, "serre-orbits-pn14-mod2", ok, 0.2, time.perf_counter() - start)

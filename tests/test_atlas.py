@@ -22,7 +22,10 @@ def test_shipped_dataset_counts():
 
 
 def test_empty_input():
-    assert load_records("\n") == ()
+    # the header is required: no rows at all is a data error, a header alone is no records
+    for source in ("\n", "\n,,\n", io.StringIO("")):
+        with pytest.raises(AtlasError, match="header row is required"):
+            load_records(source)
     assert load_records(io.StringIO(",".join(CSV_HEADER) + "\n")) == ()
 
 

@@ -296,6 +296,14 @@ def test_atlas_missing_data():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("atlas", "--count"), ("reproduce", "keum")])
+def test_empty_dataset_is_a_data_error(argv, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli(*argv, "--data", str(empty), "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == "error: empty dataset: the header row is required\n"
+
+
 def test_reproduce_keum_reads_data(tmp_path):
     alt = tmp_path / "two.csv"
     alt.write_text(dump_records(load_default()[:2]), encoding="utf-8")

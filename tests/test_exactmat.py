@@ -13,7 +13,7 @@ from semiortho import (
     profile_from_polynomial,
     wilson_fourfold,
 )
-from semiortho.exactmat import rref
+from semiortho.exactmat import _code_action, rref
 from semiortho.sonb import _nullspace_basis
 
 from oracles import cofactor_determinant, random_int_valued_poly
@@ -165,23 +165,80 @@ def test_rref_rank_and_nullspace_match_minor_oracle(p):
 def test_matrix_order_identity():
     assert matrix_order(ExactMatrix.identity(3, 2)) == 1
     assert matrix_order(ExactMatrix.identity(3), bound=10) == 1
+    assert matrix_order(ExactMatrix.identity(0, 5)) == 1
 
 
 def test_matrix_order_by_repeated_multiplication_oracle():
-    rng = random.Random(77)
-    p = 3
-    for _ in range(20):
-        n = rng.randrange(1, 4)
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        m = ExactMatrix(rows, p)
-        if m.determinant() == 0:
-            continue
+    for p in (2, 3, 5, 7, 0):
+        _check_matrix_order_against_repeated_multiplication(p)
+
+
+def _check_matrix_order_against_repeated_multiplication(p):
+    rng = random.Random(77 + p)
+    tested = 0
+    while tested < 20:
+        n = rng.randrange(1, 7)
+        if p:
+            if p**n > 800:  # keeps the oracle's repeated multiplication short
+                continue
+            m = ExactMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+            if m.determinant() == 0:
+                continue
+        else:
+            # a signed permutation conjugated by a unimodular T has finite order over Q
+            perm = rng.sample(range(n), n)
+            m = ExactMatrix([[rng.choice((1, -1)) * (j == perm[i]) for j in range(n)]
+                             for i in range(n)])
+            for _ in range(2 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    t = ExactMatrix([[int(r == c) + (r == i and c == j) * rng.choice((-2, -1, 1, 2))
+                                      for c in range(n)] for r in range(n)])
+                    m = t * m * t.inverse()
         acc = m
         expected = 1
         while not acc.is_identity():
             acc = acc * m
             expected += 1
-        assert matrix_order(m) == expected
+        assert matrix_order(m, bound=expected) == expected
+        assert matrix_order(m, bound=expected - 1) is None
+        if p:
+            assert matrix_order(m) == expected
+        tested += 1
+
+
+def test_matrix_order_bound_applies_to_the_lcm():
+    # e_0, e_1 lie on a 2-cycle and e_2, e_3, e_4 on a 3-cycle: each walk is
+    # within bound 5, but the order is lcm(2, 3) = 6
+    rows = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+    for p in (7, 0):
+        assert matrix_order(ExactMatrix(rows, p), bound=5) is None
+        assert matrix_order(ExactMatrix(rows, p), bound=6) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_code_action_matches_direct_product(p):
+    """The table-driven action on codes against sum_j M_ij x_j mod p digit by
+    digit: every code of the small spaces and sampled codes of the others,
+    random, unreduced or negative, rank-one and zero rows, and tables from
+    one digit per lookup (work 1) to whole-space chunks."""
+    rng = random.Random(800 + p)
+    for d in range(1, 13):
+        codes = range(p**d) if p**d <= 300 else [rng.randrange(p**d) for _ in range(300)]
+        u, v = [rng.randrange(p) for _ in range(d)], [rng.randrange(p) for _ in range(d)]
+        matrices = [
+            [[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+            [[rng.randrange(-3 * p, 3 * p) for _ in range(d)] for _ in range(d)],
+            [[a * b for b in v] for a in u],
+            [[0] * d for _ in range(d)],
+        ]
+        for rows in matrices:
+            for work in (1, 300, 20_000):
+                act = _code_action(rows, p, work)
+                for code in codes:
+                    x = [code // p**j % p for j in range(d)]
+                    image = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+                    assert act(code) == sum(y * p**i for i, y in enumerate(image)), (rows, code)
 
 
 def test_matrix_order_rotation_char_zero():

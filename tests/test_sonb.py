@@ -28,6 +28,7 @@ from oracles import (
     closed_form_candidate_count,
     first_slot_reference,
     orbit_partition,
+    orbit_sizes_by_moebius,
 )
 
 
@@ -426,17 +427,41 @@ def test_candidate_walk_matches_brute_force_oracle(p):
             assert got == brute_force_candidates(form, p, d), (p, d, form)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_candidate_count_matches_closed_form(p):
     rng = random.Random(700 + p)
     for d in range(1, 6):
         for form in _oracle_forms(rng, p, d):
             got = len(enumerate_candidates(FormSpace(d, p, form)))
             assert got == closed_form_candidate_count(form, p, d), (p, d, form)
-    for n in range(1, 5):
+    for n in range(1, 5 if p > 2 else 12):
         space = pn_space(n, p)
         expected = closed_form_candidate_count(space.form, p, n + 1)
         assert len(enumerate_candidates(space)) == expected
+    if p == 2:
+        assert closed_form_candidate_count(wilson_space()[0].form, 2, 5) == 12
+
+
+def test_orbit_sizes_match_moebius_count():
+    def check(space, operator, rows):
+        want = orbit_sizes_by_moebius(space.form, rows, space.modulus, space.dimension)
+        assert sorted(len(o) for o in serre_orbits(enumerate_candidates(space), operator)) == want
+        return want
+
+    space, op = wilson_space()
+    assert check(space, op, op.matrix.rows) == [4, 8]
+    # the pn:N mod p with p^d * d^2 <= 6e5 (d = N + 1) of the profiles-found benchmark
+    profiles = [(n, p) for p in (2, 3, 5, 7) for n in range(1, 20)
+                if p ** (n + 1) * (n + 1) ** 2 <= 600_000]
+    assert len(profiles) == 27
+    for n, p in profiles:
+        gram = reduce_mod(gram_from_twists(projective_space(n), range(n + 1)), p)
+        op = serre_operator(gram)
+        check(FormSpace.from_gram(gram), op, op.matrix.rows)
+    rng = random.Random(45)
+    for p, d in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)] * 2:
+        space, t = _random_isometry(rng, p, d)
+        check(space, t, t.rows)
 
 
 def test_search_stats_present():

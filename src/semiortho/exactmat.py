@@ -2,7 +2,8 @@
 
 ``rref`` is the single Gauss-Jordan reduction, over F_p (p prime) or Q
 (p = 0); ranks, nullspaces, inverses and determinants mod p are read off
-its output.  Determinants over Q are computed fraction-free instead, by
+its output, and ``sonb.search`` keys and grows its spans with it.  The only
+other elimination is for determinants over Q, computed fraction-free by
 Bareiss elimination over the integers after clearing denominators row by
 row, since its intermediate entries stay bounded by minors.  No floating
 point anywhere.
@@ -171,13 +172,15 @@ def rref(rows, ncols: int, p: int):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             scale = -scale
-        lead = m[r][col]
+        row = m[r]
+        lead = row[col]
         scale *= lead
-        if p:
-            inv = pow(lead, -1, p)
-            row = m[r] = [x * inv % p for x in m[r]]
-        else:
-            row = m[r] = [x / lead for x in m[r]]
+        if lead != 1:
+            if p:
+                inv = pow(lead, -1, p)
+                row = m[r] = [x * inv % p for x in row]
+            else:
+                row = m[r] = [x / lead for x in row]
         for i, other in enumerate(m):
             f = other[col]
             if f and i != r:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .cyclotomic import Cyclotomic, root_of_unity
 
@@ -124,18 +125,8 @@ def class_sizes() -> tuple[int, ...]:
 def dimension_candidates(group_order: int, class_count: int) -> tuple[tuple[int, ...], ...]:
     """All nondecreasing tuples of divisors of the order whose squares sum to it."""
     divisors = [d for d in range(1, group_order + 1) if group_order % d == 0]
-
-    def extend(prefix, remaining, minimum):
-        if len(prefix) == class_count:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        for d in divisors:
-            if d < minimum or d * d > remaining:
-                continue
-            yield from extend(prefix + [d], remaining - d * d, d)
-
-    return tuple(extend([], group_order, 1))
+    return tuple(dims for dims in combinations_with_replacement(divisors, class_count)
+                 if sum(d * d for d in dims) == group_order)
 
 
 def irrep_dimensions() -> tuple[int, ...]:

@@ -14,12 +14,15 @@ sum(x_i * p^i) -- coordinate 0 is the least significant digit -- so
 (1, 0, ..., 0) is the first nonzero vector.  Candidate enumeration, orbit
 representatives and the first-found basis all follow this order.  With
 Serre symmetry enabled, only orbit representatives are tried in the first
-slot, found on demand as the candidates whose orbit walk meets no smaller
-code; this is sound because the operator preserves the pairing, so any
-basis can be translated to one starting at a representative.
+slot, found on demand as the candidates whose orbit walk (through
+``exactmat._code_action``) meets no smaller code.  This is sound because
+the operator is an invertible isometry, S^t A S = A, which ``search``
+checks once before it places a vector: any basis can be translated to one
+starting at a representative, and the first basis is the plain search's.
 
 Memo.  Each call keeps a table of failed states.  A state is the span V_k
-of the vectors placed so far, keyed by its reduced row echelon basis.  V_k
+of the vectors placed so far, keyed by its reduced row echelon basis from
+``exactmat.rref``, which also tells a dependent vector by its rank.  V_k
 alone fixes the subtree below it: the constraint kernel
 W_k = {x : (x, v) = 0 for all v in V_k} and its reduced basis, hence the
 order in which the next level is enumerated, the pairing filter and the
@@ -39,6 +42,7 @@ mutation, not open-ended search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .eulerform import GramMatrix, SerreOperator
 from .exactmat import ExactMatrix, _code_action, is_prime, rref
@@ -156,10 +160,6 @@ def _operator_rows(operator) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in r) for r in operator)
 
 
-def _apply(rows, v, p: int) -> tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(row, v)) % p for row in rows)
-
-
 _NOT_PRESERVED = "operator does not preserve the candidate set (form-preservation defect)"
 
 
@@ -240,14 +240,14 @@ def _nullspace_basis(constraints, d: int, p: int):
 def search(
     space: FormSpace,
     symmetry: SerreOperator | ExactMatrix | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SearchResult:
     """Find a semi-orthonormal basis or prove none exists.
 
     Returns the first basis in canonical order, or an Exhausted result with
     the number of partial placements explored.  With symmetry, the first
-    basis vector ranges over orbit representatives only, found lazily; an
-    operator that leaves the candidate set on a walked orbit raises.
+    basis vector ranges over orbit representatives only, found lazily.  The
+    symmetry must be an invertible isometry of the form (S^t A S = A mod p);
+    it is checked once, before the first placement, and anything else raises.
 
     Failed subtrees are memoized by the span of the vectors placed above
     them and not walked twice.  ``nodes_explored`` and the placement and
@@ -260,50 +260,40 @@ def search(
         raise ValueError(
             "integer spaces support verification only; use verify_semi_orthonormal"
         )
-    d = space.dimension
-    if space.total_vectors > cap:
-        raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {cap}")
-
-    def first_slot():
-        # the sorted orbit representatives: x whose walk meets no smaller code
+    d, form = space.dimension, space.form
+    if space.total_vectors > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {DEFAULT_ENUMERATION_CAP}")
+    if symmetry is not None:
         rows = _operator_rows(symmetry)
-        for code in range(1, p**d):
-            x = y = vector_from_code(code, p, d)
-            if space.pair(x, x) != 1:
-                continue
-            for _ in range(p**d):
-                y = _apply(rows, y, p)
-                if y == x:
-                    yield x
-                    break
-                if space.pair(y, y) != 1:
-                    raise ValueError(_NOT_PRESERVED)
-                if vector_code(y, p) < code:
-                    break
-            else:  # the walk never returns: the operator is not injective
-                raise ValueError(_NOT_PRESERVED)
+        if len(rows) != d or any(len(r) != d for r in rows) or len(rref(rows, d, p)[1]) < d:
+            raise ValueError(_NOT_PRESERVED)
+        cols = list(zip(*rows))
+        images = [[sum(map(mul, r, c)) for r in form] for c in cols]  # A S e_j
+        if any((sum(map(mul, ci, image)) - a) % p  # (S e_i, S e_j) - A_ij
+               for ci, form_row in zip(cols, form) for image, a in zip(images, form_row)):
+            raise ValueError(_NOT_PRESERVED)
+        act = _code_action(rows, p, d * d)
 
     nodes = 0
     pairing_rejections = 0
     dependent_rejections = 0
     memo_hits = 0
-    # span of the chosen vectors (RREF rows by pivot) -> counts of its failed subtree
+    # span of the chosen vectors (its RREF rows) -> counts of its failed subtree
     failed: dict[tuple, tuple[int, int, int]] = {}
     chosen: list[tuple[int, ...]] = []
     constraints: list[tuple[int, ...]] = []
 
-    def reduce_by(span, v):
-        w = list(v)
-        for pc, row in span:
-            f = w[pc] % p
-            if f:
-                for j in range(d):
-                    w[j] = (w[j] - f * row[j]) % p
-        return w
-
     def level_vectors(depth):
         if depth == 0 and symmetry is not None:
-            yield from first_slot()
+            # the sorted orbit representatives: candidates whose walk meets no smaller code
+            for code in range(1, p**d):
+                x = vector_from_code(code, p, d)
+                if space.pair(x, x) == 1:
+                    image = act(code)
+                    while image > code:
+                        image = act(image)
+                    if image == code:
+                        yield x
             return
         basis = _nullspace_basis(constraints, d, p)
         m = len(basis)
@@ -333,24 +323,14 @@ def search(
             if space.pair(x, x) != 1:
                 pairing_rejections += 1
                 continue
-            w = reduce_by(span, x)
-            pc = next((j for j in range(d) if w[j]), None)
-            if pc is None:
+            grown, pivots, _ = rref((*span, x), d, p)
+            if len(pivots) == depth:
                 dependent_rejections += 1
                 continue
-            inv = pow(w[pc], -1, p)
-            row = tuple(y * inv % p for y in w)
-            # back-substitute the new row so the span stays in RREF
-            grown = [
-                (qc, tuple((a - q[pc] * b) % p for a, b in zip(q, row)) if q[pc] else q)
-                for qc, q in span
-            ]
-            grown.append((pc, row))
-            grown.sort()
             chosen.append(x)
-            constraints.append(_apply(space.form, x, p))  # A x: (y, x) = y . A x
+            constraints.append(tuple(sum(map(mul, r, x)) % p for r in form))  # (y, x) = y . A x
             nodes += 1
-            result = dfs(tuple(grown))
+            result = dfs(tuple(map(tuple, grown)))
             if result is not None:
                 return result
             chosen.pop()
@@ -363,6 +343,7 @@ def search(
         return None
 
     basis = dfs(())
+    del dfs  # it refers to itself: free the memo now, not at a later cyclic collection
     stats = (
         ("placements", nodes),
         ("pairing_rejections", pairing_rejections),

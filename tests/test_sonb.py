@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from semiortho import (
     enumerate_candidates,
     fake_projective_space,
     gram_from_twists,
+    matrix_order,
     mutate,
     mutate_inverse,
     pairing_matrix,
@@ -20,6 +22,7 @@ from semiortho import (
     wilson_fourfold,
 )
 from semiortho import reference as ref
+from semiortho.reptheory import dimension_candidates
 from semiortho.sonb import CandidateSet, vector_code, vector_from_code
 
 from oracles import (
@@ -192,13 +195,40 @@ def test_non_preserving_operator_rejected():
                          [1, 0, 0, 0, 0]], 2)
     with pytest.raises(ValueError):
         serre_orbits(cands, shift)
-    # search walks the same orbits lazily and fails on the first bad one
+    # search checks S^t A S = A once, before it places a vector
     with pytest.raises(ValueError, match="does not preserve the candidate set"):
         search(space, symmetry=shift)
-    # e0 -> e1 -> e1 stays on candidates but never returns to e0
+    # e0 -> e1 -> e1 stays on candidates but is singular, so never returns to e0
     identity = FormSpace(2, 2, ((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="does not preserve the candidate set"):
         search(identity, symmetry=ExactMatrix([[0, 0], [1, 1]], 2))
+    # a singular isometry of a degenerate form: e0 -> e0 + e1, a fixed point
+    # of larger code, so a walk from e0 would never end
+    degenerate = FormSpace(2, 2, ((1, 0), (0, 0)))
+    with pytest.raises(ValueError, match="does not preserve the candidate set"):
+        search(degenerate, symmetry=[[1, 0], [1, 0]])
+
+
+def test_invertible_non_isometry_is_rejected():
+    # S is invertible and permutes the four candidates, but S^t A S != A: a
+    # first slot cut by S alone reported Exhausted on this Found form
+    space = FormSpace(3, 2, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    s = ExactMatrix([[0, 1, 0], [1, 0, 1], [0, 0, 1]], 2)
+    form = ExactMatrix(space.form, 2)
+    candidates = enumerate_candidates(space).vectors
+    assert s.determinant() == 1
+    assert sorted(map(s.apply, candidates)) == sorted(candidates)
+    assert s.transpose() * form * s != form
+    assert search(space).basis == ((1, 0, 1), (0, 1, 1), (1, 1, 1))
+    with pytest.raises(ValueError, match="does not preserve the candidate set"):
+        search(space, symmetry=s)
+
+
+def test_operator_of_the_wrong_size_is_rejected():
+    space = FormSpace(3, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for operator in (ExactMatrix.identity(2, 2), [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="does not preserve the candidate set"):
+            search(space, symmetry=operator)
 
 
 def test_wilson_pairing_matrix_matches_reference():
@@ -311,6 +341,8 @@ def test_memo_hits_reported():
 
 
 def test_symmetry_outcome_matches_plain_search():
+    # With an isometry the first basis is the plain one: S^k maps a basis to a
+    # basis, so the least extendable candidate is its orbit's least code.
     rng = random.Random(31)
     checked = 0
     while checked < 10:
@@ -322,8 +354,35 @@ def test_symmetry_outcome_matches_plain_search():
             continue
         s = m.inverse() * m.transpose()
         space = FormSpace(d, p, m.int_rows())
-        assert search(space).found == search(space, symmetry=s).found
+        assert search(space, symmetry=s).basis == search(space).basis
         checked += 1
+    outcomes = set()
+    for p, d in [(2, 3), (2, 4), (3, 3), (5, 2), (7, 2)] * 4:
+        space, t = _random_isometry(rng, p, d)
+        plain = search(space).basis
+        assert search(space, symmetry=t).basis == plain
+        outcomes.add(plain is not None)
+    assert outcomes == {True, False}
+
+
+def test_no_reference_cycles():
+    # every call frees what it allocated by reference counting alone
+    space, op = wilson_space()
+    calls = (
+        lambda: search(space),
+        lambda: search(space, symmetry=op),
+        lambda: serre_orbits(enumerate_candidates(space), op),
+        lambda: matrix_order(op.matrix),
+        lambda: dimension_candidates(21, 5),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mutation_p2_standard_basis():

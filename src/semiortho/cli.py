@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 
 from . import atlas as atlas_mod
 from . import reference as ref
@@ -133,18 +132,13 @@ def parse_polynomial(text: str) -> IntValuedPolynomial:
     """Coefficient list "1,-3/2,1/2" or factored form "roots:1,2;scale:1/2"."""
     text = text.strip()
     try:
-        if text.startswith("roots:"):
-            roots_part = text[len("roots:"):]
-            scale = Fraction(1)
-            if ";" in roots_part:
-                roots_part, scale_part = roots_part.split(";", 1)
-                if not scale_part.startswith("scale:"):
-                    raise CliError(f"bad polynomial literal {text!r}")
-                scale = Fraction(scale_part[len("scale:"):])
-            roots = [int(r) for r in roots_part.split(",") if r]
-            return IntValuedPolynomial.from_roots(roots, scale)
-        coeffs = [Fraction(c) for c in text.split(",")]
-        return IntValuedPolynomial(coeffs)
+        if text.startswith("roots:"):  # from_roots parses the scale before the roots
+            roots, sep, scale = text[len("roots:"):].partition(";")
+            if sep and not scale.startswith("scale:"):
+                raise CliError(f"bad polynomial literal {text!r}")
+            roots = [r for r in roots.split(",") if r]
+            return IntValuedPolynomial.from_roots(roots, scale[len("scale:"):] if sep else 1)
+        return IntValuedPolynomial(text.split(","))
     except CliError:
         raise
     except (ValueError, ZeroDivisionError) as exc:

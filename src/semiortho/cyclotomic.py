@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .intpoly import _common_denominator, _lowest_terms
+
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -72,11 +74,11 @@ def _fold(n: int, wide: list[int]) -> list[int]:
 
 def _make(n: int, num: list[int], den: int, self=None) -> "Cyclotomic":
     """The element num/den (den > 0) in lowest terms, set on ``self`` if given."""
-    g = gcd(den, *num)
+    num, den = _lowest_terms(num, den)
     self = object.__new__(Cyclotomic) if self is None else self
     object.__setattr__(self, "n", n)
-    object.__setattr__(self, "_num", tuple(c // g for c in num) if g != 1 else tuple(num))
-    object.__setattr__(self, "_den", den // g)
+    object.__setattr__(self, "_num", num)
+    object.__setattr__(self, "_den", den)
     return self
 
 
@@ -87,9 +89,8 @@ class Cyclotomic:
 
     def __init__(self, n: int, coeffs):
         n = int(n)
-        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        den = lcm(*[c.denominator for c in cs])
-        _make(n, _fold(n, [c.numerator * (den // c.denominator) for c in cs]), den, self)
+        num, den = _common_denominator(coeffs)
+        _make(n, _fold(n, num), den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
@@ -110,7 +111,7 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, n: int, value) -> "Cyclotomic":
-        return cls(n, (Fraction(value),))
+        return cls(n, (value,))
 
     # -- predicates and coercion -------------------------------------------
 

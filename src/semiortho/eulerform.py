@@ -99,11 +99,12 @@ class GramMatrix:
         if len(self.twists) != self.base.size:
             raise ValueError("twist count must match matrix size")
         p = self.base.modulus
-        expected = _entry_rows(self.profile.polynomial, self.twists)
-        for i, (got_row, want_row) in enumerate(zip(self.base.rows, expected)):
-            for j, (got, want) in enumerate(zip(got_row, want_row)):
-                if (got - want) % p if p else got != want:
-                    raise ValueError(f"entry law violated at ({i}, {j})")
+        got = self.base.int_rows() if self.base.is_integer() else self.base.rows
+        for i, want_row in enumerate(_entry_rows(self.profile.polynomial, self.twists)):
+            want_row = tuple(x % p for x in want_row) if p else want_row
+            if got[i] != want_row:
+                j = next(j for j, (x, y) in enumerate(zip(got[i], want_row)) if x != y)
+                raise ValueError(f"entry law violated at ({i}, {j})")
 
     @property
     def size(self) -> int:
@@ -124,10 +125,10 @@ def gram_from_twists(profile: HilbertProfile, twists) -> GramMatrix:
     return GramMatrix(profile, twists, ExactMatrix(_entry_rows(profile.polynomial, twists), 0))
 
 
-def _entry_rows(poly: IntValuedPolynomial, twists) -> list[list[int]]:
+def _entry_rows(poly: IntValuedPolynomial, twists) -> tuple[tuple[int, ...], ...]:
     """Rows P(c_j - c_i), with one evaluation per distinct difference c_j - c_i."""
     values = {d: poly(d) for d in {cj - ci for ci in twists for cj in twists}}
-    return [[values[cj - ci] for cj in twists] for ci in twists]
+    return tuple(tuple(values[cj - ci] for cj in twists) for ci in twists)
 
 
 def reduce_mod(gram: GramMatrix, p: int) -> GramMatrix:
@@ -165,16 +166,8 @@ def serre_operator(gram: GramMatrix) -> SerreOperator:
 
 def numerically_exceptional(gram: GramMatrix) -> bool:
     """Unit diagonal and vanishing pairings of later objects against earlier."""
-    p = gram.modulus
-    one = 1 % p if p else 1
-    rows = gram.base.rows
-    for i in range(gram.size):
-        if rows[i][i] != one:
-            return False
-        for j in range(i):
-            if rows[i][j] != 0:
-                return False
-    return True
+    rows = gram.base.int_rows()  # residues mod p, so 1 is the unit there too
+    return all(rows[i][j] == (i == j) for i in range(gram.size) for j in range(i + 1))
 
 
 def chern_identity(n: int) -> int:

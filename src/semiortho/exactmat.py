@@ -1,57 +1,52 @@
 """Exact square matrices over Q or F_p, and one elimination routine.
 
+A matrix over Q is int rows over one denominator D, so its determinant is
+Bareiss elimination (fraction-free, its entries bounded by minors) run on
+the stored numerators, divided by D^n: no denominators are cleared.
 ``rref`` is the single Gauss-Jordan reduction, over F_p (p prime) or Q
 (p = 0); ranks, nullspaces, inverses and determinants mod p are read off
-its output, and ``sonb.search`` keys and grows its spans with it.  The only
-other elimination is for determinants over Q, computed fraction-free by
-Bareiss elimination over the integers after clearing denominators row by
-row, since its intermediate entries stay bounded by minors.  No floating
-point anywhere.
+its output, and ``sonb.search`` keys and grows its spans with it.  No
+floating point anywhere: a float entry raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import isqrt, lcm
+from operator import mul
+
+from .intpoly import _common_denominator, _lowest_terms
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 class ExactMatrix:
     """Immutable square matrix over Q (modulus 0) or F_p (modulus a prime).
 
-    Entries are Fractions in characteristic zero and ints in [0, p) mod p.
+    Stored as int rows over one positive denominator in lowest terms; mod p
+    as residues in [0, p) over 1, an entry a/b being a * b^(-1) (p | b
+    raises).  ``rows`` gives Fractions over Q and the residues mod p.
     """
 
-    __slots__ = ("rows", "modulus")
+    __slots__ = ("_num", "_den", "modulus")
 
     def __init__(self, rows, modulus: int = 0):
         rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        if modulus == 0:
-            entries = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        else:
-            if not is_prime(modulus):
-                raise ValueError(f"modulus {modulus} is not prime")
-            entries = tuple(tuple(int(x) % modulus for x in r) for r in rows)
-        object.__setattr__(self, "rows", entries)
-        object.__setattr__(self, "modulus", modulus)
+        if modulus and not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        num, den = _common_denominator(chain.from_iterable(rows))
+        if modulus:
+            if den % modulus == 0:
+                raise ValueError(f"an entry's denominator is divisible by {modulus}")
+            scale = pow(den, -1, modulus)
+            num, den = [x * scale % modulus for x in num], 1
+        _make(num, den, modulus, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -61,91 +56,88 @@ class ExactMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], modulus)
 
     @property
+    def rows(self) -> tuple[tuple, ...]:
+        if self.modulus:
+            return self._num
+        return tuple(tuple(Fraction(x, self._den) for x in r) for r in self._num)
+
+    @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._num)
 
     def is_integer(self) -> bool:
-        if self.modulus:
-            return True
-        return all(x.denominator == 1 for r in self.rows for x in r)
+        return self._den == 1
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """Entries as plain ints; requires denominator-free entries."""
-        if self.modulus:
-            return self.rows
-        if not self.is_integer():
+        if self._den != 1:
             raise ValueError("matrix has non-integer entries")
-        return tuple(tuple(int(x) for x in r) for r in self.rows)
+        return self._num
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)), self.modulus)
+        return _make([x for col in zip(*self._num) for x in col], self._den, self.modulus)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.modulus == other.modulus and self.rows == other.rows
+        return (self.modulus, self._den, self._num) == (other.modulus, other._den, other._num)
 
     def __hash__(self):
-        return hash((self.rows, self.modulus))
+        return hash((self._num, self._den, self.modulus))
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if other.modulus != self.modulus or other.size != self.size:
             raise ValueError("incompatible matrices")
-        n = self.size
         p = self.modulus
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                row.append(s % p if p else s)
-            out.append(row)
-        return ExactMatrix(out, p)
+        cols = list(zip(*other._num))
+        flat = [sum(map(mul, row, col)) for row in self._num for col in cols]
+        return _make([x % p for x in flat] if p else flat, self._den * other._den, p)
 
     def apply(self, vector):
         """Matrix-vector product, reduced mod p when applicable."""
         if len(vector) != self.size:
             raise ValueError("vector length mismatch")
-        p = self.modulus
-        sums = (sum(a * b for a, b in zip(row, vector)) for row in self.rows)
-        return tuple(s % p if p else s for s in sums)
+        p, den = self.modulus, self._den
+        sums = (sum(map(mul, row, vector)) for row in self._num)
+        return tuple(s % p if p else Fraction(s, den) for s in sums)
 
     def determinant(self):
         """Exact determinant: int mod p, Fraction in characteristic zero."""
-        if self.modulus:
-            _, pivots, det = rref(self.rows, self.size, self.modulus)
-            return det if len(pivots) == self.size else 0
-        scale = Fraction(1)
-        int_rows = []
-        for r in self.rows:
-            d = lcm(*(x.denominator for x in r)) if r else 1
-            scale *= d
-            int_rows.append([int(x * d) for x in r])
-        return Fraction(_det_bareiss(int_rows)) / scale
+        n, p = self.size, self.modulus
+        if p:
+            _, pivots, det = rref(self._num, n, p)
+            return det if len(pivots) == n else 0
+        return Fraction(_det_bareiss([list(r) for r in self._num]), self._den**n)
 
     def inverse(self) -> "ExactMatrix":
-        n = self.size
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-               for i, r in enumerate(self.rows)]
+        """(N / D)^(-1) = D * N^(-1), with N^(-1) from ``rref`` of [N | I]."""
+        n, den = self.size, self._den
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self._num)]
         reduced, pivots, _ = rref(aug, 2 * n, self.modulus)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return ExactMatrix([r[n:] for r in reduced], self.modulus)
+        return ExactMatrix([[x * den for x in r[n:]] for r in reduced], self.modulus)
 
     def is_identity(self) -> bool:
-        one = 1 % self.modulus if self.modulus else 1
-        return all(
-            x == (one if i == j else 0)
-            for i, r in enumerate(self.rows)
-            for j, x in enumerate(r)
-        )
+        return self == ExactMatrix.identity(self.size, self.modulus)
 
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in r) for r in self.rows)
         tag = f", mod {self.modulus}" if self.modulus else ""
         return f"ExactMatrix([{body}]{tag})"
+
+
+def _make(flat, den: int, modulus: int, self=None) -> ExactMatrix:
+    """Row-major int entries over den > 0 as a matrix in lowest terms, set on ``self`` if given."""
+    flat, den = _lowest_terms(flat, den)
+    n = isqrt(len(flat))
+    self = object.__new__(ExactMatrix) if self is None else self
+    object.__setattr__(self, "_num", tuple(flat[i * n:i * n + n] for i in range(n)))
+    object.__setattr__(self, "_den", den)
+    object.__setattr__(self, "modulus", modulus)
+    return self
 
 
 def rref(rows, ncols: int, p: int):

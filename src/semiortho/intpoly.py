@@ -18,9 +18,25 @@ from math import factorial, gcd, lcm
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int, str)):
+    if isinstance(value, (int, str, Fraction)):  # Fraction last: its ABC check is slow
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Exact values (``_as_fraction``) as int numerators over their least common denominator."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    values = [_as_fraction(v) for v in values]
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _lowest_terms(num, den: int) -> tuple[tuple[int, ...], int]:
+    """num / den (den > 0) with the common factor of all entries divided out."""
+    g = gcd(den, *num)
+    return (tuple(num) if g == 1 else tuple(c // g for c in num)), den // g
 
 
 def _horner(num, k: int) -> int:
@@ -44,8 +60,7 @@ def _make(num: list[int], den: int, self=None) -> "IntValuedPolynomial":
     valued; set on ``self`` if given."""
     while num and not num[-1]:
         num.pop()
-    g = gcd(den, *num)
-    num, den = [c // g for c in num], den // g
+    num, den = _lowest_terms(num, den)
     if den != 1:
         for j, c in enumerate(_forward_differences(num)):
             if c % den:
@@ -53,7 +68,7 @@ def _make(num: list[int], den: int, self=None) -> "IntValuedPolynomial":
                     f"not integer valued: binomial-basis coefficient {j} is {Fraction(c, den)}"
                 )
     self = object.__new__(IntValuedPolynomial) if self is None else self
-    object.__setattr__(self, "_num", tuple(num))
+    object.__setattr__(self, "_num", num)
     object.__setattr__(self, "_den", den)
     return self
 
@@ -75,9 +90,7 @@ class IntValuedPolynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs):
-        cs = [_as_fraction(c) for c in coeffs]
-        den = lcm(*[c.denominator for c in cs])
-        _make([c.numerator * (den // c.denominator) for c in cs], den, self)
+        _make(*_common_denominator(coeffs), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntValuedPolynomial is immutable")
@@ -191,4 +204,4 @@ class IntValuedPolynomial:
 def _coerce(value) -> IntValuedPolynomial:
     if isinstance(value, IntValuedPolynomial):
         return value
-    return IntValuedPolynomial([_as_fraction(value)])
+    return IntValuedPolynomial([value])

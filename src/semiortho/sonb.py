@@ -113,10 +113,16 @@ def vector_from_code(code: int, p: int, dimension: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """All self-pairing-one vectors of a space, in canonical order."""
+    """All self-pairing-one vectors of a space in canonical order, and their codes."""
 
     space: FormSpace
     vectors: tuple[tuple[int, ...], ...]
+    codes: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.codes is None:  # vectors given without their codes
+            codes = tuple(vector_code(v, self.space.modulus) for v in self.vectors)
+            object.__setattr__(self, "codes", codes)
 
     def __len__(self):
         return len(self.vectors)
@@ -126,8 +132,8 @@ def enumerate_candidates(space: FormSpace, cap: int = DEFAULT_ENUMERATION_CAP) -
     """Exact set of vectors with (x, x) = 1, in code order (requires p^d <= cap).
 
     A walk over the p^(d-1) prefixes x' = (x_1, ..., x_{d-1}), most
-    significant first, carrying b = sum (A_0i + A_i0) x_i and c = (x', x'):
-    a table of the roots of A_00 t^2 + b t + c = 1 then gives each x_0.
+    significant first, carrying b = sum (A_0i + A_i0) x_i, c = (x', x') and
+    the code: a table of the roots of A_00 t^2 + b t + c = 1 gives each x_0.
     """
     p, d, a = space.modulus, space.dimension, space.form
     if space.total_vectors > cap:  # raises on an integer space
@@ -135,21 +141,22 @@ def enumerate_candidates(space: FormSpace, cap: int = DEFAULT_ENUMERATION_CAP) -
     sym = [[a[i][j] + a[j][i] for j in range(i)] for i in range(d)]
     roots = [[t for t in range(p) if (a[0][0] * t * t + b * t + c) % p == 1]
              for b in range(p) for c in range(p)]
-    vecs = []
+    vecs, codes = [], []
 
-    def walk(k, s, c, tail):
-        # coordinates above k are fixed in tail; s[i] = sum_j>k (A_ij + A_ji) x_j
+    def walk(k, s, c, tail, code):
+        # coordinates above k are fixed in tail, worth code; s[i] = sum_j>k (A_ij + A_ji) x_j
         if not k:
             for t in roots[s[0] % p * p + c % p]:
                 vecs.append((t,) + tail)
+                codes.append(code + t)
             return
         for v in range(p):
             walk(k - 1, [x + v * y for x, y in zip(s, sym[k])],
-                 c + v * s[k] + a[k][k] * v * v, (v,) + tail)
+                 c + v * s[k] + a[k][k] * v * v, (v,) + tail, code + v * p**k)
 
-    walk(d - 1, [0] * d, 0, ())
+    walk(d - 1, [0] * d, 0, (), 0)
     del walk  # it refers to itself: free vecs now, not at a later cyclic collection
-    return CandidateSet(space, tuple(vecs))
+    return CandidateSet(space, tuple(vecs), tuple(codes))
 
 
 def _operator_rows(operator) -> tuple[tuple[int, ...], ...]:
@@ -167,7 +174,7 @@ def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, .
     """Partition candidates into orbits of the (form-preserving) operator.
 
     Each orbit is walked from its canonically least representative as a
-    cycle of codes (``vector_code``) through the tables of
+    cycle of codes (``candidates.codes``) through the tables of
     ``exactmat._code_action``; orbits are sorted by their representative, in
     one pass over the codes in increasing order (the identity mod p is not
     applied).  Raises if a walk leaves the candidate set or does not return.
@@ -177,7 +184,7 @@ def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, .
     if not p:
         raise ValueError("orbit partition requires a finite modulus")
     rows = _operator_rows(operator)
-    remaining = {vector_code(v, p): v for v in candidates.vectors}
+    remaining = dict(zip(candidates.codes, candidates.vectors))
     if all(x % p == (i == j) for i, r in enumerate(rows) for j, x in enumerate(r)):
         return tuple((remaining[code],) for code in sorted(remaining))
     act = _code_action(rows, p, len(remaining))

@@ -199,3 +199,10 @@ def test_long_and_string_inputs_reduce_like_the_oracle():
     assert Cyclotomic(3, ["3/2"]) == Fraction(3, 2)
     assert str(Cyclotomic(7, ["-1/2", 0, Fraction(6, -4)])) == "-1/2 - 3/2*z7^2"
     assert str(Cyclotomic(7, [0, "-1", 0, 0, 0, 0, 0, 0, 0, 2])) == "-z7 + 2*z7^2"
+
+
+def test_float_coefficient_is_rejected():
+    with pytest.raises(TypeError, match="exact rational"):
+        Cyclotomic(7, [0.1])
+    with pytest.raises(TypeError, match="exact rational"):
+        Cyclotomic.rational(21, 0.5)

@@ -1,0 +1,34 @@
+"""The package runs on the standard library alone: pyproject.toml declares
+no runtime dependency, and every module of src/semiortho imports only
+standard-library modules and semiortho itself."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pyproject_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r"^dependencies\s*=\s*(.*)$", project, re.M) == ["[]"]
+
+
+def test_imports_name_the_standard_library_or_semiortho():
+    allowed = sys.stdlib_module_names | {"semiortho"}
+    modules = sorted((ROOT / "src" / "semiortho").glob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: relative
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign

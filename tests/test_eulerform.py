@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -113,9 +114,10 @@ def test_entry_law_catches_one_tampered_entry(twists):
     for i in range(5):
         for j in range(5):
             assert gram.base.rows[i][j] == gram.profile.polynomial(twists[j] - twists[i])
-            for base, p in ((gram.base, 0), (reduced.base, 5)):
+            fields = ((gram.base, 0), (reduced.base, 5))
+            for (base, p), delta in product(fields, (1, Fraction(1, 2))):
                 tampered = [list(r) for r in base.rows]
-                tampered[i][j] += 1
+                tampered[i][j] += delta  # 1/2 is 3 mod 5
                 with pytest.raises(ValueError, match=f"entry law violated at \\({i}, {j}\\)"):
                     GramMatrix(gram.profile, twists, ExactMatrix(tampered, p))
 

@@ -308,3 +308,77 @@ def test_gram_determinant_of_custom_profile():
     profile = profile_from_polynomial(poly)
     gram = gram_from_twists(profile, range(3))
     assert gram.determinant() == 3**3
+
+
+def test_rational_entry_mod_p_is_a_times_the_inverse_of_b():
+    assert ExactMatrix([[Fraction(1, 2)]], 3).rows == ((2,),)
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            a, b = rng.randrange(-50, 51), rng.choice([b for b in range(1, 30) if b % p])
+            entry = rng.choice((Fraction(a, b), f"{a}/{b}"))
+            (x,), = ExactMatrix([[entry]], p).rows
+            assert 0 <= x < p and (x * b - a) % p == 0
+
+
+def test_entry_with_denominator_divisible_by_p_is_rejected():
+    with pytest.raises(ValueError, match="divisible by 3"):
+        ExactMatrix([[Fraction(1, 3)]], 3)
+    with pytest.raises(ValueError, match="divisible by 2"):
+        ExactMatrix([[1, "5/6"], [0, 1]], 2)
+
+
+@pytest.mark.parametrize("value, modulus", [(2.7, 3), (0.1, 0), (2.0, 0)])
+def test_float_entry_is_rejected(value, modulus):
+    with pytest.raises(TypeError, match="exact rational"):
+        ExactMatrix([[value]], modulus)
+
+
+def test_equal_entries_give_equal_matrices_and_hashes():
+    for p in (0, 5):
+        halves = (Fraction(2, 4), "1/2", Fraction(1, 2))
+        same = [ExactMatrix([[half, 1], [0, "3/1"]], p) for half in halves]
+        assert all(m == same[0] for m in same)
+        assert len({hash(m) for m in same}) == 1
+    assert ExactMatrix([["1/2"]], 3) == ExactMatrix([[2]], 3)
+    assert ExactMatrix([[Fraction(1, 2)]]) != ExactMatrix([[1]])
+
+
+def _fraction_product(a, b):
+    n = len(a)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+                 for i in range(n))
+
+
+def test_rational_matrices_against_fraction_oracles():
+    """Sizes 0-6 with int, Fraction and "a/b" entries, a third of them
+    singular, against cofactor expansion and a Fraction triple loop."""
+    rng = random.Random(1010)
+
+    def entry():
+        a, b = rng.randrange(-6, 7), rng.randrange(1, 5)
+        return rng.choice((a, Fraction(a, b), f"{a}/{b}"))
+
+    singular = 0
+    for trial in range(210):
+        n = trial % 7
+        raw = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:  # the last row a multiple of the first
+            c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+            raw[-1] = [str(Fraction(x) * c) for x in raw[0]]
+        exact = tuple(tuple(Fraction(x) for x in r) for r in raw)
+        m = ExactMatrix(raw)
+        assert m.rows == exact
+        assert ExactMatrix(m.rows, 0) == m and hash(ExactMatrix(m.rows, 0)) == hash(m)
+        assert m.transpose().rows == tuple(zip(*exact))
+        det = m.determinant()
+        assert det == cofactor_determinant(exact)
+        other = tuple(tuple(Fraction(entry()) for _ in range(n)) for _ in range(n))
+        assert (m * ExactMatrix(other)).rows == _fraction_product(exact, other)
+        if det:
+            assert (m.inverse() * m).is_identity() and (m * m.inverse()).is_identity()
+        else:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+    assert 40 <= singular <= 150

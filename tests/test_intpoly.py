@@ -166,3 +166,12 @@ def test_equality_and_hash():
     b = IntValuedPolynomial.from_roots((-1, -1))
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_float_coefficient_is_rejected():
+    with pytest.raises(TypeError, match="exact rational"):
+        IntValuedPolynomial([1, 0.5])
+    with pytest.raises(TypeError, match="exact rational"):
+        IntValuedPolynomial((0, 1)) * 2.0
+    with pytest.raises(TypeError, match="exact rational"):
+        IntValuedPolynomial.from_roots((1, 2), 0.5)

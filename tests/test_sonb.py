@@ -482,8 +482,9 @@ def test_candidate_walk_matches_brute_force_oracle(p):
     rng = random.Random(600 + p)
     for d in range(1, 6):
         for form in _oracle_forms(rng, p, d):
-            got = enumerate_candidates(FormSpace(d, p, form)).vectors
-            assert got == brute_force_candidates(form, p, d), (p, d, form)
+            got = enumerate_candidates(FormSpace(d, p, form))
+            assert got.vectors == brute_force_candidates(form, p, d), (p, d, form)
+            assert got.codes == tuple(sum(x * p**i for i, x in enumerate(v)) for v in got.vectors)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -4,36 +4,40 @@ The pairing is (u, v) = u^t A v.  A basis e_1, ..., e_d is semi-orthonormal
 when (e_i, e_i) = 1 and (e_j, e_i) = 0 for j > i.  The search builds bases
 left to right: once e_1, ..., e_k are placed, any later vector x must
 satisfy the k linear constraints (x, e_i) = 0, so the feasible set at depth
-k is the intersection of the self-pairing-one locus with a linear subspace.
-That subspace is enumerated directly from a reduced basis of the constraint
-kernel, which keeps large Found instances cheap without giving up
-exhaustiveness on Exhausted ones.
+k is the intersection of the self-pairing-one locus with a linear subspace,
+the constraint kernel, which is walked directly (see Kernel below).
 
 Determinism.  Vectors over F_p are ordered by their integer code
 sum(x_i * p^i) -- coordinate 0 is the least significant digit -- so
 (1, 0, ..., 0) is the first nonzero vector.  Candidate enumeration, orbit
 representatives and the first-found basis all follow this order.  With
-Serre symmetry enabled, only orbit representatives are tried in the first
-slot, found on demand as the candidates whose orbit walk (through
-``exactmat._code_action``) meets no smaller code.  This is sound because
-the operator is an invertible isometry, S^t A S = A, which ``search``
-checks once before it places a vector: any basis can be translated to one
-starting at a representative, and the first basis is the plain search's.
+Serre symmetry enabled, the first slot tries only the candidates whose
+orbit walk (through ``exactmat._code_action``) meets no smaller code.  This
+is sound because the operator is an invertible isometry, S^t A S = A, which
+``search`` checks once before it places a vector: any basis can be
+translated to one starting at a representative, and the first basis is the
+plain search's.
+
+Kernel.  Each node carries W_k = {y : (y, v) = 0 for every placed v} as its
+reduced basis (one vector per free column, 1 there and 0 at the other free
+columns), cut by one elimination step per placement (``_restrict``) and
+walked in increasing code order by one addition per vector (``_walk``).  A
+vector of W_k with (x, x) = 1 is never in the span of the placed v_k: x =
+sum c_k v_k would give (x, x) = sum c_k (x, v_k) = 0.  So there is no
+dependence test, and the ``dependent_rejections`` stat is 0 by construction.
 
 Memo.  Each call keeps a table of failed states.  A state is the span V_k
 of the vectors placed so far, keyed by its reduced row echelon basis from
-``exactmat.rref``, which also tells a dependent vector by its rank.  V_k
-alone fixes the subtree below it: the constraint kernel
-W_k = {x : (x, v) = 0 for all v in V_k} and its reduced basis, hence the
-order in which the next level is enumerated, the pairing filter and the
-dependence test all depend on nothing else.  The same span is reached once
-for every ordering of the same chosen vectors, and a revisited state that
-already failed is not walked again.  Only failed states are pruned, so the
-first basis in canonical order is unchanged.  The counters describe the
-full canonical proof tree: a memo hit credits the placements and
-rejections its subtree made when first walked, so ``placements`` equals
-the node count of the unpruned walk (``tests/oracles.brute_force_sonb``).
-The ``memo_hits`` stat counts the reused subtrees.
+``exactmat.rref``.  V_k alone fixes the subtree below it: W_k, its reduced
+basis and so the order and filter of the next level depend on nothing
+else.  The same span is reached once for every ordering of the same chosen
+vectors, and a revisited state that already failed is not walked again.
+Only failed states are pruned, so the first basis in canonical order is
+unchanged.  The counters describe the full canonical proof tree: a memo hit
+credits the placements and rejections its subtree made when first walked,
+so ``placements`` equals the node count of the unpruned walk
+(``tests/oracles.brute_force_sonb``).  ``memo_hits`` counts the reused
+subtrees.
 
 Integer spaces (modulus 0) support verification of supplied bases and
 mutation, not open-ended search.
@@ -42,6 +46,7 @@ mutation, not open-ended search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 
 from .eulerform import GramMatrix, SerreOperator
@@ -213,6 +218,10 @@ def pairing_matrix(space: FormSpace, vectors) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The first basis (None when Exhausted) and the proof tree's counts:
+    placements, pairing_rejections, dependent_rejections (0 by construction,
+    as the carried kernel holds no dependent feasible vector) and memo_hits."""
+
     basis: tuple[tuple[int, ...], ...] | None
     nodes_explored: int
     stats: tuple[tuple[str, int], ...]
@@ -229,19 +238,39 @@ class SearchResult:
         return dict(self.stats)[key]
 
 
-def _nullspace_basis(constraints, d: int, p: int):
-    """Reduced basis of {x : x . w = 0 for all w}, ordered by free column."""
-    rows, pivots, _ = rref(constraints, d, p)
-    basis = []
-    for fc in range(d):
-        if fc in pivots:
-            continue
-        v = [0] * d
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc] % p
-        basis.append(tuple(v))
-    return basis
+def _restrict(kernel, row, p: int):
+    """Reduced basis of {y in span(kernel) : y . row = 0 mod p}.
+
+    With c_j = kernel[j] . row, the first i with c_i != 0 becomes a pivot and
+    kernel[j] - (c_j / c_i) kernel[i], j != i, is again reduced.  Cutting the
+    unit basis by each row of a matrix gives the reduced nullspace basis.
+    """
+    c = [sum(map(mul, b, row)) % p for b in kernel]
+    i = next((j for j, cj in enumerate(c) if cj), None)
+    if i is None:
+        return kernel
+    pivot, inv = kernel[i], pow(c[i], -1, p)
+    return tuple(
+        tuple((x - cj * inv * y) % p for x, y in zip(b, pivot)) if cj else b
+        for j, (b, cj) in enumerate(zip(kernel, c)) if j != i
+    )
+
+
+def _walk(kernel, p: int):
+    """(t, sum t_k kernel[k]) for t = 1, ..., p^m - 1, t_k the base-p digits of t.
+
+    Raising t adds kernel[0] + ... + kernel[k], k the trailing zero digits of
+    the new t.  A reduced basis is walked in increasing code order; for the
+    unit basis, t is the code of x.
+    """
+    steps = list(accumulate(kernel, lambda s, b: tuple((u + v) % p for u, v in zip(s, b))))
+    x = (0,) * len(kernel[0]) if kernel else ()
+    for t in range(1, p ** len(kernel)):
+        k, q = 0, t
+        while not q % p:
+            k, q = k + 1, q // p
+        x = tuple((u + v) % p for u, v in zip(x, steps[k]))
+        yield t, x
 
 
 def search(
@@ -256,20 +285,20 @@ def search(
     symmetry must be an invertible isometry of the form (S^t A S = A mod p);
     it is checked once, before the first placement, and anything else raises.
 
+    Each level walks the carried constraint kernel, where a feasible vector
+    is never dependent, so ``dependent_rejections`` is 0 by construction.
+
     Failed subtrees are memoized by the span of the vectors placed above
-    them and not walked twice.  ``nodes_explored`` and the placement and
-    rejection stats still count the full proof tree, crediting each reused
-    subtree with its counts, so they equal the unpruned walk's.  The
-    ``memo_hits`` stat is the number of subtrees reused.
+    them and not walked twice; the stats still count the full proof tree,
+    crediting each of the ``memo_hits`` reused subtrees with its counts.
     """
     p = space.modulus
     if not p:
-        raise ValueError(
-            "integer spaces support verification only; use verify_semi_orthonormal"
-        )
+        raise ValueError("integer spaces support verification only; use verify_semi_orthonormal")
     d, form = space.dimension, space.form
     if space.total_vectors > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {DEFAULT_ENUMERATION_CAP}")
+    representative = None
     if symmetry is not None:
         rows = _operator_rows(symmetry)
         if len(rows) != d or any(len(r) != d for r in rows) or len(rref(rows, d, p)[1]) < d:
@@ -281,82 +310,50 @@ def search(
             raise ValueError(_NOT_PRESERVED)
         act = _code_action(rows, p, d * d)
 
-    nodes = 0
-    pairing_rejections = 0
-    dependent_rejections = 0
-    memo_hits = 0
+        def representative(code):  # its orbit walk meets no smaller code
+            image = act(code)
+            while image > code:
+                image = act(image)
+            return image == code
+
+    nodes = pairing_rejections = memo_hits = 0
     # span of the chosen vectors (its RREF rows) -> counts of its failed subtree
-    failed: dict[tuple, tuple[int, int, int]] = {}
-    chosen: list[tuple[int, ...]] = []
-    constraints: list[tuple[int, ...]] = []
+    failed: dict[tuple, tuple[int, int]] = {}
 
-    def level_vectors(depth):
-        if depth == 0 and symmetry is not None:
-            # the sorted orbit representatives: candidates whose walk meets no smaller code
-            for code in range(1, p**d):
-                x = vector_from_code(code, p, d)
-                if space.pair(x, x) == 1:
-                    image = act(code)
-                    while image > code:
-                        image = act(image)
-                    if image == code:
-                        yield x
-            return
-        basis = _nullspace_basis(constraints, d, p)
-        m = len(basis)
-        for t in range(1, p**m):
-            digits = vector_from_code(t, p, m)
-            v = [0] * d
-            for coef, bvec in zip(digits, basis):
-                if coef:
-                    for j in range(d):
-                        v[j] = (v[j] + coef * bvec[j]) % p
-            yield tuple(v)
-
-    def dfs(span) -> tuple[tuple[int, ...], ...] | None:
-        nonlocal nodes, pairing_rejections, dependent_rejections, memo_hits
-        depth = len(chosen)
-        if depth == d:
-            return tuple(chosen)
+    def dfs(span, chosen, kernel) -> tuple[tuple[int, ...], ...] | None:
+        # kernel is the parent's; this node cuts it by (y, x) = y . A x, x placed last
+        nonlocal nodes, pairing_rejections, memo_hits
+        if len(chosen) == d:
+            return chosen
         if span in failed:
             memo_hits += 1
-            dn, dpair, ddep = failed[span]
+            dn, dpair = failed[span]
             nodes += dn
             pairing_rejections += dpair
-            dependent_rejections += ddep
             return None
-        before = (nodes, pairing_rejections, dependent_rejections)
-        for x in level_vectors(depth):
-            if space.pair(x, x) != 1:
+        if chosen:
+            kernel = _restrict(kernel, [sum(map(mul, r, chosen[-1])) for r in form], p)
+        first_slot = representative if not chosen else None
+        before = (nodes, pairing_rejections)
+        for t, x in _walk(kernel, p):
+            if first_slot is not None:  # t is x's code at the root
+                if space.pair(x, x) != 1 or not first_slot(t):
+                    continue
+            elif space.pair(x, x) != 1:
                 pairing_rejections += 1
                 continue
-            grown, pivots, _ = rref((*span, x), d, p)
-            if len(pivots) == depth:
-                dependent_rejections += 1
-                continue
-            chosen.append(x)
-            constraints.append(tuple(sum(map(mul, r, x)) % p for r in form))  # (y, x) = y . A x
             nodes += 1
-            result = dfs(tuple(map(tuple, grown)))
+            grown = rref((*span, x), d, p)[0]
+            result = dfs(tuple(map(tuple, grown)), (*chosen, x), kernel)
             if result is not None:
                 return result
-            chosen.pop()
-            constraints.pop()
-        failed[span] = (
-            nodes - before[0],
-            pairing_rejections - before[1],
-            dependent_rejections - before[2],
-        )
+        failed[span] = (nodes - before[0], pairing_rejections - before[1])
         return None
 
-    basis = dfs(())
+    basis = dfs((), (), tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
     del dfs  # it refers to itself: free the memo now, not at a later cyclic collection
-    stats = (
-        ("placements", nodes),
-        ("pairing_rejections", pairing_rejections),
-        ("dependent_rejections", dependent_rejections),
-        ("memo_hits", memo_hits),
-    )
+    stats = (("placements", nodes), ("pairing_rejections", pairing_rejections),
+             ("dependent_rejections", 0), ("memo_hits", memo_hits))
     return SearchResult(basis, nodes, stats)
 
 

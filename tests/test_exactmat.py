@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +14,7 @@ from semiortho import (
     wilson_fourfold,
 )
 from semiortho.exactmat import _code_action, rref
-from semiortho.sonb import _nullspace_basis
+from semiortho.sonb import _restrict, _walk, vector_code
 
 from oracles import cofactor_determinant, random_int_valued_poly
 
@@ -155,11 +155,21 @@ def test_rref_rank_and_nullspace_match_minor_oracle(p):
             if m == n and rank == n:
                 assert scale == cofactor_determinant(rows, p)
             if p:
-                basis = _nullspace_basis(rows, n, p)
+                basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                for w in rows:
+                    basis = _restrict(basis, w, p)
                 assert len(basis) == n - rank
                 assert all(sum(a * b for a, b in zip(w, v)) % p == 0
                            for v in basis for w in rows)
                 assert not basis or _minor_rank(basis, p) == len(basis)
+                if p**n <= 729:  # brute force over F_p^n: the walk visits the
+                    # nonzero nullspace vectors in increasing code order
+                    kernel = sorted(
+                        (v for v in product(range(p), repeat=n) if any(v)
+                         and all(sum(a * b for a, b in zip(w, v)) % p == 0 for w in rows)),
+                        key=lambda v: vector_code(v, p),
+                    )
+                    assert [x for _, x in _walk(basis, p)] == kernel
 
 
 def test_matrix_order_identity():

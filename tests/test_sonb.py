@@ -26,6 +26,7 @@ from semiortho.reptheory import dimension_candidates
 from semiortho.sonb import CandidateSet, vector_code, vector_from_code
 
 from oracles import (
+    _vectors,
     brute_force_candidates,
     brute_force_sonb,
     closed_form_candidate_count,
@@ -295,8 +296,11 @@ def test_wilson_mod_7_agrees_with_oracle():
 
 def test_random_forms_agree_with_oracle_smoke():
     # The memoized search must credit every reused subtree: its node count
-    # equals the unpruned oracle's on Found and Exhausted forms alike.
-    # p = 5 stops at d = 3 because the oracle needs seconds per d = 4 form.
+    # equals the unpruned oracle's on Found and Exhausted forms alike, and
+    # all four stats (memo hits, and no dependent rejection) equal those of
+    # the span-set reference walk over every nonzero vector, singular forms
+    # included.  p = 5 stops at d = 3 because the oracle needs seconds per
+    # d = 4 form.
     rng = random.Random(2024)
     for p, max_d in ((2, 4), (3, 4), (5, 3)):
         outcomes = set()
@@ -308,6 +312,8 @@ def test_random_forms_agree_with_oracle_smoke():
             result = search(space)
             assert result.basis == oracle_basis
             assert result.nodes_explored == oracle_nodes
+            _, *counts = first_slot_reference(rows, p, d, _vectors(p, d))
+            assert tuple(v for _, v in result.stats) == tuple(counts)
             if result.found:
                 assert verify_semi_orthonormal(space, result.basis)
             outcomes.add(result.found)

@@ -4,10 +4,10 @@ A matrix over Q is int rows over one denominator D, so its determinant is
 Bareiss elimination (fraction-free, its entries bounded by minors) run on
 the stored numerators, divided by D^n: no denominators are cleared.
 ``rref`` is the single Gauss-Jordan reduction, over F_p (p prime) or Q
-(p = 0); ranks, inverses and determinants mod p are read off its output,
-and ``sonb.search`` keys its spans with it (its constraint kernels are cut
-one row at a time by ``sonb._restrict``).  No floating point anywhere: a
-float entry raises.
+(p = 0); ranks, inverses and determinants mod p are read off its output
+(``sonb.search`` cuts its constraint kernels one row at a time with
+``sonb._restrict`` instead).  No floating point anywhere: a float entry
+raises.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ WILSON_PAIRING_12 = (
     (1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1),
 )
 
-WILSON_DEG = 225
 WILSON_CHERN = (225, 150, 100, 50, 5)  # [c1^4, c2 c1^2, c2^2, c1 c3, c4]
 
 # fixed-point solution set: the doubling orbits of {1,3} and {4,6}

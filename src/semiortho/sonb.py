@@ -26,18 +26,17 @@ vector of W_k with (x, x) = 1 is never in the span of the placed v_k: x =
 sum c_k v_k would give (x, x) = sum c_k (x, v_k) = 0.  So there is no
 dependence test, and the ``dependent_rejections`` stat is 0 by construction.
 
-Memo.  Each call keeps a table of failed states.  A state is the span V_k
-of the vectors placed so far, keyed by its reduced row echelon basis from
-``exactmat.rref``.  V_k alone fixes the subtree below it: W_k, its reduced
-basis and so the order and filter of the next level depend on nothing
-else.  The same span is reached once for every ordering of the same chosen
-vectors, and a revisited state that already failed is not walked again.
+Memo.  Each call keeps a table of failed states.  A state is the kernel
+W_k, keyed by its reduced basis (canonical for W_k).  W_k alone fixes the
+subtree below it: the next level walks W_k and cuts each child from it, and
+dim W_k = d - k is the depth.  Every ordering of the same chosen vectors
+(and, for singular A, spans that differ by a vector n with A n = 0) reaches
+one kernel, and a revisited state that already failed is not walked again.
 Only failed states are pruned, so the first basis in canonical order is
 unchanged.  The counters describe the full canonical proof tree: a memo hit
 credits the placements and rejections its subtree made when first walked,
 so ``placements`` equals the node count of the unpruned walk
-(``tests/oracles.brute_force_sonb``).  ``memo_hits`` counts the reused
-subtrees.
+(``tests/oracles.brute_force_sonb``); ``memo_hits`` counts the reuses.
 
 Integer spaces (modulus 0) support verification of supplied bases and
 mutation, not open-ended search.
@@ -133,16 +132,20 @@ class CandidateSet:
         return len(self.vectors)
 
 
-def enumerate_candidates(space: FormSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> CandidateSet:
-    """Exact set of vectors with (x, x) = 1, in code order (requires p^d <= cap).
+def _check_cap(space: FormSpace) -> None:
+    if space.total_vectors > DEFAULT_ENUMERATION_CAP:  # raises on an integer space
+        raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {DEFAULT_ENUMERATION_CAP}")
+
+
+def enumerate_candidates(space: FormSpace) -> CandidateSet:
+    """Exact set of vectors with (x, x) = 1, in code order (p^d within the cap).
 
     A walk over the p^(d-1) prefixes x' = (x_1, ..., x_{d-1}), most
     significant first, carrying b = sum (A_0i + A_i0) x_i, c = (x', x') and
     the code: a table of the roots of A_00 t^2 + b t + c = 1 gives each x_0.
     """
+    _check_cap(space)
     p, d, a = space.modulus, space.dimension, space.form
-    if space.total_vectors > cap:  # raises on an integer space
-        raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {cap}")
     sym = [[a[i][j] + a[j][i] for j in range(i)] for i in range(d)]
     roots = [[t for t in range(p) if (a[0][0] * t * t + b * t + c) % p == 1]
              for b in range(p) for c in range(p)]
@@ -288,16 +291,15 @@ def search(
     Each level walks the carried constraint kernel, where a feasible vector
     is never dependent, so ``dependent_rejections`` is 0 by construction.
 
-    Failed subtrees are memoized by the span of the vectors placed above
-    them and not walked twice; the stats still count the full proof tree,
-    crediting each of the ``memo_hits`` reused subtrees with its counts.
+    Failed subtrees are memoized by their constraint kernel and not walked
+    twice; the stats still count the full proof tree, crediting each of the
+    ``memo_hits`` reused subtrees with its counts.
     """
     p = space.modulus
     if not p:
         raise ValueError("integer spaces support verification only; use verify_semi_orthonormal")
+    _check_cap(space)
     d, form = space.dimension, space.form
-    if space.total_vectors > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap exceeded: {space.total_vectors} > {DEFAULT_ENUMERATION_CAP}")
     representative = None
     if symmetry is not None:
         rows = _operator_rows(symmetry)
@@ -317,40 +319,37 @@ def search(
             return image == code
 
     nodes = pairing_rejections = memo_hits = 0
-    # span of the chosen vectors (its RREF rows) -> counts of its failed subtree
+    # reduced basis of a kernel -> counts of its failed subtree
     failed: dict[tuple, tuple[int, int]] = {}
 
-    def dfs(span, chosen, kernel) -> tuple[tuple[int, ...], ...] | None:
-        # kernel is the parent's; this node cuts it by (y, x) = y . A x, x placed last
+    def dfs(chosen, kernel) -> tuple[tuple[int, ...], ...] | None:
+        # kernel = {y : (y, v) = 0 for every chosen v}, cut by the parent
         nonlocal nodes, pairing_rejections, memo_hits
         if len(chosen) == d:
             return chosen
-        if span in failed:
+        if kernel in failed:
             memo_hits += 1
-            dn, dpair = failed[span]
+            dn, dpair = failed[kernel]
             nodes += dn
             pairing_rejections += dpair
             return None
-        if chosen:
-            kernel = _restrict(kernel, [sum(map(mul, r, chosen[-1])) for r in form], p)
         first_slot = representative if not chosen else None
         before = (nodes, pairing_rejections)
         for t, x in _walk(kernel, p):
-            if first_slot is not None:  # t is x's code at the root
-                if space.pair(x, x) != 1 or not first_slot(t):
-                    continue
-            elif space.pair(x, x) != 1:
-                pairing_rejections += 1
+            if space.pair(x, x) != 1:
+                pairing_rejections += first_slot is None  # none at a symmetric root
+                continue
+            if first_slot is not None and not first_slot(t):  # t is x's code at the root
                 continue
             nodes += 1
-            grown = rref((*span, x), d, p)[0]
-            result = dfs(tuple(map(tuple, grown)), (*chosen, x), kernel)
+            row = [sum(map(mul, r, x)) for r in form]  # (y, x) = y . row
+            result = dfs((*chosen, x), _restrict(kernel, row, p))
             if result is not None:
                 return result
-        failed[span] = (nodes - before[0], pairing_rejections - before[1])
+        failed[kernel] = (nodes - before[0], pairing_rejections - before[1])
         return None
 
-    basis = dfs((), (), tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+    basis = dfs((), tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
     del dfs  # it refers to itself: free the memo now, not at a later cyclic collection
     stats = (("placements", nodes), ("pairing_rejections", pairing_rejections),
              ("dependent_rejections", 0), ("memo_hits", memo_hits))

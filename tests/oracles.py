@@ -275,15 +275,17 @@ def orbit_sizes_by_moebius(form, rows, p, dimension):
     return sorted(sizes)
 
 
-def first_slot_reference(form, p, dimension, first_slot):
+def first_slot_reference(form, p, dimension, first_slot, key_by_span=False):
     """The proof tree of a search whose first vector ranges over first_slot.
 
     Later slots range over every nonzero vector in code order with
     (x, e) = 0 for each e placed; x is a pairing rejection if (x, x) != 1, a
     dependent rejection if it lies in the span of the placed vectors, and a
-    placement otherwise.  A span (as the set of all its vectors) whose
-    subtree failed is not walked again: the revisit is a memo hit and is
-    credited with that subtree's counts.
+    placement otherwise.  A state whose subtree failed is not walked again:
+    the revisit is a memo hit and is credited with that subtree's counts.
+    The state is the set of nonzero vectors orthogonal to every placed
+    vector, or with key_by_span the span of the placed vectors (each as the
+    set of its vectors).
 
     Returns (basis-or-None, placements, pairing_rejections,
     dependent_rejections, memo_hits).
@@ -306,20 +308,19 @@ def first_slot_reference(form, p, dimension, first_slot):
     def walk(chosen):
         if len(chosen) == d:
             return tuple(chosen)
-        key = span(chosen)
+        orthogonal = [x for x in everything if all(pair(x, e) == 0 for e in chosen)]
+        spanned = span(chosen)
+        key = spanned if key_by_span else frozenset(orthogonal)
         if key in failed:
             counts[3] += 1
             for k, n in enumerate(failed[key]):
                 counts[k] += n
             return None
         before = counts[:3]
-        level = first_slot if not chosen else [
-            x for x in everything if all(pair(x, e) == 0 for e in chosen)
-        ]
-        for x in level:
+        for x in first_slot if not chosen else orthogonal:
             if pair(x, x) != 1:
                 counts[1] += 1
-            elif x in key:
+            elif x in spanned:
                 counts[2] += 1
             else:
                 counts[0] += 1

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,16 @@ def test_readme_example_matches_golden(entry):
     # error_paths are usage and data errors; test_error_path_exits_2 checks
     # them against the contract (exit 2), not against their recorded exits
     assert run_cli(*entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+def test_readme_cli_block_lists_golden_commands():
+    # every README example has its golden entry, in the same order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in readme.splitlines() if line.startswith("semiortho ")]
+    recorded = [e["argv"][:-2] for e in GOLDEN["commands"]]
+    assert all(e["argv"][-2:] == ["--format", "machine"] for e in GOLDEN["commands"])
+    assert examples == recorded
 
 
 @pytest.mark.parametrize(

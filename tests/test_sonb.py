@@ -23,7 +23,7 @@ from semiortho import (
 )
 from semiortho import reference as ref
 from semiortho.reptheory import dimension_candidates
-from semiortho.sonb import CandidateSet, vector_code, vector_from_code
+from semiortho.sonb import DEFAULT_ENUMERATION_CAP, CandidateSet, vector_code, vector_from_code
 
 from oracles import (
     _vectors,
@@ -79,9 +79,11 @@ def test_zero_form_has_no_candidates():
 
 
 def test_enumeration_cap():
-    space = pn_space(2, 7)
-    with pytest.raises(ValueError):
-        enumerate_candidates(space, cap=10)
+    space = FormSpace(21, 2, standard_basis(21))  # 2^21 vectors
+    assert space.total_vectors > DEFAULT_ENUMERATION_CAP
+    for call in (enumerate_candidates, search):
+        with pytest.raises(ValueError, match="enumeration cap exceeded"):
+            call(space)
 
 
 def test_wilson_orbits():
@@ -298,9 +300,10 @@ def test_random_forms_agree_with_oracle_smoke():
     # The memoized search must credit every reused subtree: its node count
     # equals the unpruned oracle's on Found and Exhausted forms alike, and
     # all four stats (memo hits, and no dependent rejection) equal those of
-    # the span-set reference walk over every nonzero vector, singular forms
-    # included.  p = 5 stops at d = 3 because the oracle needs seconds per
-    # d = 4 form.
+    # the kernel-set reference walk over every nonzero vector, singular
+    # forms included.  On an invertible form the kernel fixes the span, so
+    # keying that walk by span-sets gives the same memo hits.  p = 5 stops
+    # at d = 3 because the oracle needs seconds per d = 4 form.
     rng = random.Random(2024)
     for p, max_d in ((2, 4), (3, 4), (5, 3)):
         outcomes = set()
@@ -314,6 +317,9 @@ def test_random_forms_agree_with_oracle_smoke():
             assert result.nodes_explored == oracle_nodes
             _, *counts = first_slot_reference(rows, p, d, _vectors(p, d))
             assert tuple(v for _, v in result.stats) == tuple(counts)
+            if ExactMatrix(rows, p).determinant():
+                _, *by_span = first_slot_reference(rows, p, d, _vectors(p, d), key_by_span=True)
+                assert by_span == counts
             if result.found:
                 assert verify_semi_orthonormal(space, result.basis)
             outcomes.add(result.found)
@@ -326,18 +332,23 @@ def test_fixed_instance_search_stats():
     rng = random.Random(1003)  # the slowest form of acceptance criterion 4
     d = rng.randrange(2, 6)
     slowest = FormSpace(d, 3, tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d)))
+    # p = 2, A = diag(0, 0, 1): the four candidates (a, b, 1) span four
+    # lines with one kernel {y : y_2 = 0}, so three of them are memo hits
+    singular = FormSpace(3, 2, ((0, 0, 0), (0, 0, 0), (0, 0, 1)))
     expected = (
-        (search(space), (204, 839, 0)),
-        (search(flipped), (204, 839, 0)),
-        (search(space, symmetry=op), (32, 130, 0)),
-        (search(slowest), (11412, 114470, 0)),
+        (search(space), (204, 839, 0, 78)),
+        (search(flipped), (204, 839, 0, 78)),
+        (search(space, symmetry=op), (32, 130, 0, 12)),
+        (search(slowest), (11412, 114470, 0, 1521)),
+        (search(singular), (4, 15, 0, 3)),
     )
     for result, counts in expected:
         assert result.exhausted
-        assert result.stats[:3] == tuple(
-            zip(("placements", "pairing_rejections", "dependent_rejections"), counts)
+        assert result.stats == tuple(
+            zip(("placements", "pairing_rejections", "dependent_rejections", "memo_hits"), counts)
         )
         assert result.nodes_explored == counts[0]
+    assert brute_force_sonb(singular.form, 2, 3)[1] == 4
 
 
 def test_memo_hits_reported():

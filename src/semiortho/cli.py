@@ -32,7 +32,7 @@ from .eulerform import (
     serre_operator,
     wilson_fourfold,
 )
-from .exactmat import ExactMatrix, matrix_order
+from .exactmat import ExactMatrix, is_prime, matrix_order
 from .intpoly import IntValuedPolynomial
 from .lefschetz import (
     canonical_trace,
@@ -146,16 +146,16 @@ def parse_polynomial(text: str) -> IntValuedPolynomial:
 
 
 def resolve_profile(args) -> HilbertProfile:
-    if args.poly and args.profile:
+    if args.poly is not None and args.profile is not None:
         raise CliError("give either --profile or --poly, not both")
-    if args.poly:
+    if args.poly is not None:
         poly = parse_polynomial(args.poly)
         try:
             return profile_from_polynomial(poly, name="poly")
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     name = args.profile
-    if not name:
+    if name is None:
         raise CliError("a --profile or --poly is required")
     try:
         if name == "wilson":
@@ -179,7 +179,7 @@ def parse_twists(text: str) -> tuple[int, ...]:
 def resolve_gram(args, report: Report) -> GramMatrix:
     """The Gram matrix that --profile/--poly, --twists and --mod select, echoed as inputs."""
     profile = resolve_profile(args)
-    twists = parse_twists(args.twists) if args.twists else range(profile.dimension + 1)
+    twists = range(profile.dimension + 1) if args.twists is None else parse_twists(args.twists)
     gram = gram_from_twists(profile, twists)
     if args.mod is not None:
         try:
@@ -225,7 +225,7 @@ def _cyc_str(x: Cyclotomic) -> str:
 def _load_atlas(data):
     """Records of the CSV at data, else of the default dataset; errors are CliErrors."""
     try:
-        return atlas_mod.load_records(data or atlas_mod.default_dataset_path())
+        return atlas_mod.load_records(atlas_mod.default_dataset_path() if data is None else data)
     except FileNotFoundError as exc:
         raise CliError(f"dataset not found: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -379,18 +379,20 @@ def cmd_serre(args) -> Report:
 
 def cmd_sonb(args) -> Report:
     report = Report("sonb")
-    if args.matrix:
-        if not args.mod and not args.verify_basis:
+    if args.matrix is not None:
+        if args.mod is None and args.verify_basis is None:
             raise CliError("--matrix needs --mod (or --verify-basis over Z)")
-        source_matrix = parse_matrix(args.matrix, args.mod or 0)
+        if args.mod is not None and not is_prime(args.mod):
+            raise CliError(f"{args.mod} is not prime")
+        source_matrix = parse_matrix(args.matrix, 0 if args.mod is None else args.mod)
         report.add_input("matrix", args.matrix)
-        if args.mod:
+        if args.mod is not None:
             report.add_input("mod", args.mod)
     else:
         source_matrix = resolve_gram(args, report).base
     space = FormSpace.from_matrix(source_matrix)
 
-    if args.verify_basis:
+    if args.verify_basis is not None:
         basis = parse_vectors(args.verify_basis, space.dimension)
         ok = verify_semi_orthonormal(space, basis)
         report.add_check("basis_verified", ok, f"{len(basis)} supplied vectors")
@@ -437,7 +439,7 @@ def cmd_lefschetz(args) -> Report:
     report.add_record("exponent_pairs", " ".join("(%d,%d)" % p for p in datum.exponent_pairs))
     _exponents(report, datum,
                ref.CANONICAL_EXPONENTS if default else ref.CONJUGATE_CANONICAL_EXPONENTS)
-    _h0_traces(report, datum, args.k or (0, 4), B_BAR if default else B)
+    _h0_traces(report, datum, (0, 4) if args.k is None else args.k, B_BAR if default else B)
     return report
 
 
@@ -510,7 +512,7 @@ def cmd_decompose(args) -> Report:
     if args.regular:
         chi = regular_character()
         report.add_input("character", "regular")
-    elif args.chi:
+    elif args.chi is not None:
         report.add_input("character", args.chi)
         chi = None
         for k, name in _parse_combo(args.chi):
@@ -543,7 +545,7 @@ def _record_row(report, i, r):
 def cmd_atlas(args) -> Report:
     report = Report("atlas")
     records = _load_atlas(args.data)
-    report.add_input("data", args.data or "default")
+    report.add_input("data", "default" if args.data is None else args.data)
 
     if args.count:
         report.add_record("records", len(records))
@@ -582,7 +584,7 @@ def cmd_atlas(args) -> Report:
         return report
 
     matched = list(records)
-    if args.aut:
+    if args.aut is not None:
         try:
             matched = list(atlas_mod.query_aut(matched, args.aut).records)
         except ValueError as exc:
@@ -661,7 +663,7 @@ def _reproduce_wilson(report: Report) -> None:
 
 def _reproduce_keum(report: Report, data) -> None:
     records = _load_atlas(data)
-    if data:
+    if data is not None:
         report.add_input("data", data)
     g21 = atlas_mod.query_aut(records, "G21")
     report.add_record("surfaces", g21.surface_count)
@@ -829,6 +831,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, value in vars(args).items():  # an option is absent (None) or has a value
+            if value == "":
+                raise CliError(f"--{key.replace('_', '-')} needs a nonempty value")
         report = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Exact square matrices over Q or F_p, and one elimination routine.
 
-A matrix over Q is int rows over one denominator D, so its determinant is
-Bareiss elimination (fraction-free, its entries bounded by minors) run on
-the stored numerators, divided by D^n: no denominators are cleared.
-``rref`` is the single Gauss-Jordan reduction, over F_p (p prime) or Q
-(p = 0); ranks, inverses and determinants mod p are read off its output
-(``sonb.search`` cuts its constraint kernels one row at a time with
-``sonb._restrict`` instead).  No floating point anywhere: a float entry
-raises.
+A matrix is int rows over one denominator D (D = 1 mod p), so its
+determinant in either field is Bareiss elimination (fraction-free, exact
+over Z, its entries bounded by minors) run on the stored numerators: taken
+mod p, or divided by D^n over Q.  ``rref`` is the single Gauss-Jordan
+reduction, over F_p (p prime) or Q (p = 0); ranks and inverses are read off
+its output (``sonb.search`` cuts its constraint kernels one row at a time
+with ``sonb._restrict`` instead).  No floating point anywhere: a float
+entry raises.
 """
 
 from __future__ import annotations
@@ -105,18 +105,15 @@ class ExactMatrix:
         return tuple(s % p if p else Fraction(s, den) for s in sums)
 
     def determinant(self):
-        """Exact determinant: int mod p, Fraction in characteristic zero."""
-        n, p = self.size, self.modulus
-        if p:
-            _, pivots, det = rref(self._num, n, p)
-            return det if len(pivots) == n else 0
-        return Fraction(_det_bareiss([list(r) for r in self._num]), self._den**n)
+        """Exact determinant by Bareiss: int mod p, Fraction in characteristic zero."""
+        det = _det_bareiss([list(r) for r in self._num])
+        return det % self.modulus if self.modulus else Fraction(det, self._den**self.size)
 
     def inverse(self) -> "ExactMatrix":
         """(N / D)^(-1) = D * N^(-1), with N^(-1) from ``rref`` of [N | I]."""
         n, den = self.size, self._den
         aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self._num)]
-        reduced, pivots, _ = rref(aug, 2 * n, self.modulus)
+        reduced, pivots = rref(aug, 2 * n, self.modulus)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return ExactMatrix([[x * den for x in r[n:]] for r in reduced], self.modulus)
@@ -145,16 +142,13 @@ def rref(rows, ncols: int, p: int):
     """Reduced row echelon form over F_p (p prime) or Q (p = 0).
 
     Entries are reduced mod p, or made Fractions when p = 0.  Returns the
-    nonzero reduced rows, their pivot columns in increasing order, and the
-    product of the pivots times the sign of the row swaps, which for a
-    square matrix of full rank is its determinant.
+    nonzero reduced rows and their pivot columns in increasing order.
     """
     if p:
         m = [[x % p for x in r] for r in rows]
     else:
         m = [[Fraction(x) for x in r] for r in rows]
     pivots = []
-    scale = 1
     for col in range(ncols):
         r = len(pivots)
         for piv in range(r, len(m)):
@@ -164,10 +158,8 @@ def rref(rows, ncols: int, p: int):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            scale = -scale
         row = m[r]
         lead = row[col]
-        scale *= lead
         if lead != 1:
             if p:
                 inv = pow(lead, -1, p)
@@ -182,7 +174,7 @@ def rref(rows, ncols: int, p: int):
                     if p else [x - f * y for x, y in zip(other, row)]
                 )
         pivots.append(col)
-    return m[: len(pivots)], pivots, scale % p if p else scale
+    return m[: len(pivots)], pivots
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -218,8 +210,12 @@ def _code_action(rows, p: int, work: int):
     packed image sum x_j col_j, one w-bit field per output coordinate (w bits
     hold d(p-1)^2, so fields never carry), and each g packed fields index
     their base-p digits mod p.  k and g minimise work * lookups + table
-    entries for about work calls, so small inputs get small tables.
+    entries for about work calls, so small inputs get small tables.  The
+    identity builds no tables.
     """
+    if all(x % p == (i == j) for i, r in enumerate(rows) for j, x in enumerate(r)):
+        return lambda code: code
+
     def sums(levels):  # every sum of one value per level, the first varying fastest
         return reduce(lambda table, values: [v + t for v in values for t in table], levels, [0])
 

@@ -14,9 +14,9 @@ representatives and the first-found basis all follow this order.  With
 Serre symmetry enabled, the first slot tries only the candidates whose
 orbit walk (through ``exactmat._code_action``) meets no smaller code.  This
 is sound because the operator is an invertible isometry, S^t A S = A, which
-``search`` checks once before it places a vector: any basis can be
-translated to one starting at a representative, and the first basis is the
-plain search's.
+one gate (``_symmetry_action``) checks for ``search`` and ``serre_orbits``
+before any walk: any basis can be translated to one starting at a
+representative, and the first basis is the plain search's.
 
 Kernel.  Each node carries W_k = {y : (y, v) = 0 for every placed v} as its
 reduced basis (one vector per free column, 1 there and 0 at the other free
@@ -167,35 +167,45 @@ def enumerate_candidates(space: FormSpace) -> CandidateSet:
     return CandidateSet(space, tuple(vecs), tuple(codes))
 
 
-def _operator_rows(operator) -> tuple[tuple[int, ...], ...]:
-    if isinstance(operator, SerreOperator):
-        operator = operator.matrix
-    if isinstance(operator, ExactMatrix):
-        return operator.int_rows()
-    return tuple(tuple(int(x) for x in r) for r in operator)
-
-
 _NOT_PRESERVED = "operator does not preserve the candidate set (form-preservation defect)"
 
 
+def _symmetry_action(space: FormSpace, operator, work: int):
+    """code(x) -> code(S x) by ``exactmat._code_action`` (about work calls) for
+    S a ``SerreOperator``, an ``ExactMatrix`` or rows of exact entries that is
+    d x d, invertible mod p and an isometry, S^t A S = A; else it raises.  A
+    ``SerreOperator`` of A itself is one: its A S = A^t gives S^t A S = (A S)^t."""
+    p, d = space.modulus, space.dimension
+    a = ExactMatrix(space.form, p)
+    isometry = isinstance(operator, SerreOperator) and operator.source.base == a
+    if isinstance(operator, SerreOperator):
+        operator = operator.matrix
+    if isinstance(operator, ExactMatrix) and operator.modulus not in (0, p):
+        raise ValueError(f"operator is mod {operator.modulus}, the form mod {p}")
+    rows = operator.rows if isinstance(operator, ExactMatrix) else [list(r) for r in operator]
+    if len(rows) != d or any(len(r) != d for r in rows):
+        raise ValueError(_NOT_PRESERVED)
+    s = ExactMatrix(rows, p)  # a float entry raises TypeError
+    if not s.determinant() or not (isometry or s.transpose() * a * s == a):
+        raise ValueError(_NOT_PRESERVED)
+    return _code_action(s.rows, p, work)
+
+
 def serre_orbits(candidates: CandidateSet, operator) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Partition candidates into orbits of the (form-preserving) operator.
+    """Partition candidates into orbits of an operator that passes ``search``'s
+    gate (``_symmetry_action``), so every walk returns.
 
     Each orbit is walked from its canonically least representative as a
-    cycle of codes (``candidates.codes``) through the tables of
-    ``exactmat._code_action``; orbits are sorted by their representative, in
-    one pass over the codes in increasing order (the identity mod p is not
-    applied).  Raises if a walk leaves the candidate set or does not return.
+    cycle of codes (``candidates.codes``); orbits are sorted by their
+    representative, in one pass over the codes in increasing order.  Raises
+    if the operator fails the gate or a walk leaves a partial candidate set.
     """
     space = candidates.space
     p = space.modulus
     if not p:
         raise ValueError("orbit partition requires a finite modulus")
-    rows = _operator_rows(operator)
     remaining = dict(zip(candidates.codes, candidates.vectors))
-    if all(x % p == (i == j) for i, r in enumerate(rows) for j, x in enumerate(r)):
-        return tuple((remaining[code],) for code in sorted(remaining))
-    act = _code_action(rows, p, len(remaining))
+    act = _symmetry_action(space, operator, len(remaining))
     orbits = []
     for rep_code in sorted(remaining):
         rep = remaining.pop(rep_code, None)
@@ -302,15 +312,7 @@ def search(
     d, form = space.dimension, space.form
     representative = None
     if symmetry is not None:
-        rows = _operator_rows(symmetry)
-        if len(rows) != d or any(len(r) != d for r in rows) or len(rref(rows, d, p)[1]) < d:
-            raise ValueError(_NOT_PRESERVED)
-        cols = list(zip(*rows))
-        images = [[sum(map(mul, r, c)) for r in form] for c in cols]  # A S e_j
-        if any((sum(map(mul, ci, image)) - a) % p  # (S e_i, S e_j) - A_ij
-               for ci, form_row in zip(cols, form) for image, a in zip(images, form_row)):
-            raise ValueError(_NOT_PRESERVED)
-        act = _code_action(rows, p, d * d)
+        act = _symmetry_action(space, symmetry, d * d)
 
         def representative(code):  # its orbit walk meets no smaller code
             image = act(code)
@@ -359,14 +361,13 @@ def search(
 def is_semi_orthonormal_family(space: FormSpace, vectors) -> bool:
     """Pairing conditions plus linear independence, for any family length."""
     vectors = [tuple(v) for v in vectors]
-    one = 1 % space.modulus if space.modulus else 1
     for i, vi in enumerate(vectors):
-        if space.pair(vi, vi) != one:
+        if space.pair(vi, vi) != 1:
             return False
         for j in range(i):
             if space.pair(vi, vectors[j]) != 0:
                 return False
-    _, pivots, _ = rref(vectors, space.dimension, space.modulus)
+    _, pivots = rref(vectors, space.dimension, space.modulus)
     return len(pivots) == len(vectors)
 
 

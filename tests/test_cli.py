@@ -356,6 +356,23 @@ def test_gram_mod_zero_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: 0 is not prime\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("gram", "--poly", "", "--profile", "pn:2"), "--poly needs a nonempty value"),
+    (("gram", "--profile", "pn:2", "--twists", ""), "--twists needs a nonempty value"),
+    (("sonb", "--profile", "pn:2", "--mod", "2", "--verify-basis", ""),
+     "--verify-basis needs a nonempty value"),
+    (("sonb", "--matrix", "", "--profile", "pn:2", "--mod", "2"), "--matrix needs a nonempty value"),
+    (("decompose", "--chi", "", "--regular"), "--chi needs a nonempty value"),
+    (("atlas", "--aut", ""), "--aut needs a nonempty value"),
+    (("atlas", "--data", ""), "--data needs a nonempty value"),
+    (("reproduce", "keum", "--data", ""), "--data needs a nonempty value"),
+    (("sonb", "--matrix", "1,0;0,1", "--mod", "0", "--verify-basis", "1,0;0,1"), "0 is not prime"),
+])
+def test_empty_or_zero_option_value_is_a_usage_error(argv, err, capsys):
+    assert run_cli(*argv, "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_reproduce_wilson():
     code, out = run_cli("reproduce", "wilson", "--format", "machine")
     assert code == 0

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: pyproject.toml declares
 no runtime dependency, and every module of src/semiortho imports only
-standard-library modules and semiortho itself."""
+standard-library modules and semiortho itself.  README's "Library layout"
+table names each of those modules once."""
 
 import ast
 import re
@@ -32,3 +33,11 @@ def test_imports_name_the_standard_library_or_semiortho():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign
+
+
+def test_readme_layout_table_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `semiortho\.(\w+)` \|", table, re.M)
+    modules = sorted(path.stem for path in (ROOT / "src" / "semiortho").glob("*.py"))
+    assert sorted(listed) == [m for m in modules if m != "__init__"]

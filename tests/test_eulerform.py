@@ -179,7 +179,7 @@ def test_serre_operator_rejects_singular():
     profile = profile_from_polynomial(poly)
     gram = reduce_mod(gram_from_twists(profile, (0, 1, 2)), 3)
     assert gram.determinant() == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix is singular"):
         serre_operator(gram)
 
 

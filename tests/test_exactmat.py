@@ -63,6 +63,10 @@ def test_determinant_matches_oracle_mod_p():
             n = rng.randrange(1, 6)
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             assert ExactMatrix(rows, p).determinant() == cofactor_determinant(rows, p)
+    # singular mod p, not over Z: the integer elimination's det is reduced mod p
+    for rows, p in [([[2, 0], [0, 1]], 2), ([[1, 2], [3, 1]], 5), ([[3, 1, 0], [0, 3, 1], [1, 0, 3]], 7)]:
+        assert cofactor_determinant(rows) % p == 0 != cofactor_determinant(rows)
+        assert ExactMatrix(rows, p).determinant() == 0 == cofactor_determinant(rows, p)
 
 
 def test_determinant_matches_oracle_rational():
@@ -145,15 +149,13 @@ def test_rref_rank_and_nullspace_match_minor_oracle(p):
                     for a in left]
             if p:
                 rows = [[x % p for x in row] for row in rows]
-            reduced, pivots, scale = rref(rows, n, p)
+            reduced, pivots = rref(rows, n, p)
             rank = _minor_rank(rows, p)
             assert len(pivots) == len(reduced) == rank
             assert pivots == sorted(set(pivots))
             for i, (row, pc) in enumerate(zip(reduced, pivots)):
                 assert row[pc] == 1
                 assert all(other[pc] == 0 for k, other in enumerate(reduced) if k != i)
-            if m == n and rank == n:
-                assert scale == cofactor_determinant(rows, p)
             if p:
                 basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
                 for w in rows:

@@ -1,5 +1,6 @@
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -188,28 +189,29 @@ def test_random_isometry_orbits_match_union_find():
     assert outcomes == {True, False}
 
 
+def _assert_rejected(space, operator):
+    for run in (lambda: search(space, symmetry=operator),
+                lambda: serre_orbits(enumerate_candidates(space), operator)):
+        with pytest.raises(ValueError, match="does not preserve the candidate set"):
+            run()
+
+
 def test_non_preserving_operator_rejected():
     space, _ = wilson_space()
-    cands = enumerate_candidates(space)
     shift = ExactMatrix([[0, 1, 0, 0, 0],
                          [0, 0, 1, 0, 0],
                          [0, 0, 0, 1, 0],
                          [0, 0, 0, 0, 1],
                          [1, 0, 0, 0, 0]], 2)
-    with pytest.raises(ValueError):
-        serre_orbits(cands, shift)
-    # search checks S^t A S = A once, before it places a vector
-    with pytest.raises(ValueError, match="does not preserve the candidate set"):
-        search(space, symmetry=shift)
+    # search and serre_orbits check S^t A S = A once, before any walk
+    _assert_rejected(space, shift)
     # e0 -> e1 -> e1 stays on candidates but is singular, so never returns to e0
     identity = FormSpace(2, 2, ((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="does not preserve the candidate set"):
-        search(identity, symmetry=ExactMatrix([[0, 0], [1, 1]], 2))
+    _assert_rejected(identity, ExactMatrix([[0, 0], [1, 1]], 2))
     # a singular isometry of a degenerate form: e0 -> e0 + e1, a fixed point
     # of larger code, so a walk from e0 would never end
     degenerate = FormSpace(2, 2, ((1, 0), (0, 0)))
-    with pytest.raises(ValueError, match="does not preserve the candidate set"):
-        search(degenerate, symmetry=[[1, 0], [1, 0]])
+    _assert_rejected(degenerate, [[1, 0], [1, 0]])
 
 
 def test_invertible_non_isometry_is_rejected():
@@ -223,15 +225,39 @@ def test_invertible_non_isometry_is_rejected():
     assert sorted(map(s.apply, candidates)) == sorted(candidates)
     assert s.transpose() * form * s != form
     assert search(space).basis == ((1, 0, 1), (0, 1, 1), (1, 1, 1))
-    with pytest.raises(ValueError, match="does not preserve the candidate set"):
-        search(space, symmetry=s)
+    _assert_rejected(space, s)
 
 
 def test_operator_of_the_wrong_size_is_rejected():
     space = FormSpace(3, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for operator in (ExactMatrix.identity(2, 2), [[1, 0, 0], [0, 1], [0, 0, 1]]):
-        with pytest.raises(ValueError, match="does not preserve the candidate set"):
-            search(space, symmetry=operator)
+        _assert_rejected(space, operator)
+
+
+def test_serre_operator_is_an_isometry_of_its_own_form_only():
+    # A S = A^t gives S^t A S = A for the operator's own A; over Z it is
+    # reduced mod p and checked, and on another form it is rejected
+    over_z = gram_from_twists(projective_space(2), range(3))
+    gram = reduce_mod(over_z, 2)
+    space, op = FormSpace.from_gram(gram), serre_operator(gram)
+    cands = enumerate_candidates(space)
+    assert serre_orbits(cands, serre_operator(over_z)) == serre_orbits(cands, op)
+    assert search(space, symmetry=serre_operator(over_z)).stats == search(space, symmetry=op).stats
+    _assert_rejected(FormSpace(3, 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), op)
+
+
+def test_raw_operator_rows_take_exact_entries_mod_p():
+    # 7/2 = 1 mod 5, the identity; truncating it to 3 gives 3 * 3 = 4 != 1
+    space = FormSpace(1, 5, ((1,),))
+    cands = enumerate_candidates(space)
+    for operator in ([[Fraction(7, 2)]], ExactMatrix([[Fraction(7, 2)]])):
+        assert serre_orbits(cands, operator) == (((1,),), ((4,),))
+        assert search(space, symmetry=operator).basis == ((1,),)
+    for run in (lambda s: search(space, symmetry=s), lambda s: serre_orbits(cands, s)):
+        with pytest.raises(TypeError):
+            run([[1.0]])
+        with pytest.raises(ValueError, match="operator is mod 3, the form mod 5"):
+            run(ExactMatrix([[1]], 3))
 
 
 def test_wilson_pairing_matrix_matches_reference():

@@ -4,7 +4,11 @@ Every subcommand produces a Report: echoed inputs, result records, and a
 list of named PASS/FAIL checks.  Output is deterministic byte-for-byte for
 identical inputs and flags, in either human-readable text or line-oriented
 ``key=value`` machine form.  The process exits 0 exactly when every check
-in the report passed, 1 when a check failed, 2 on usage or data errors.
+in the report passed, 1 when a check failed, 2 on a usage or data error:
+also any ValueError the library raises on the data it is given, and an option
+the mode would ignore (sonb --matrix with --profile, --poly or --twists; sonb
+--verify-basis with --symmetry serre; decompose --chi with --regular; atlas
+--count or --verify with each other, --aut, --three-torsion-free, --k-phantom).
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .sonb import (
 
 
 class CliError(Exception):
-    """Usage or data error; rendered to stderr with exit code 2."""
+    """The CLI's own usage or data error; main renders it with exit code 2."""
 
 
 class Report:
@@ -139,8 +143,6 @@ def parse_polynomial(text: str) -> IntValuedPolynomial:
             roots = [r for r in roots.split(",") if r]
             return IntValuedPolynomial.from_roots(roots, scale[len("scale:"):] if sep else 1)
         return IntValuedPolynomial(text.split(","))
-    except CliError:
-        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"malformed polynomial literal {text!r}: {exc}") from exc
 
@@ -149,11 +151,7 @@ def resolve_profile(args) -> HilbertProfile:
     if args.poly is not None and args.profile is not None:
         raise CliError("give either --profile or --poly, not both")
     if args.poly is not None:
-        poly = parse_polynomial(args.poly)
-        try:
-            return profile_from_polynomial(poly, name="poly")
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return profile_from_polynomial(parse_polynomial(args.poly), name="poly")
     name = args.profile
     if name is None:
         raise CliError("a --profile or --poly is required")
@@ -169,6 +167,13 @@ def resolve_profile(args) -> HilbertProfile:
     raise CliError(f"unknown profile {name!r} (use wilson, pn:N or fake-pn:N)")
 
 
+def _exclude(args, option: str, *others: str) -> None:
+    """A usage error if option is given together with any of the others."""
+    given = [o for o in (option, *others) if getattr(args, o) not in (None, False)]
+    if option in given and len(given) > 1:
+        raise CliError(f"--{option} cannot be combined with --{given[1].replace('_', '-')}")
+
+
 def parse_twists(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
@@ -182,10 +187,7 @@ def resolve_gram(args, report: Report) -> GramMatrix:
     twists = range(profile.dimension + 1) if args.twists is None else parse_twists(args.twists)
     gram = gram_from_twists(profile, twists)
     if args.mod is not None:
-        try:
-            gram = reduce_mod(gram, args.mod)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        gram = reduce_mod(gram, args.mod)
     report.add_input("profile", profile.name)
     report.add_input("twists", ",".join(str(t) for t in gram.twists))
     if gram.modulus:
@@ -223,15 +225,13 @@ def _cyc_str(x: Cyclotomic) -> str:
 
 
 def _load_atlas(data):
-    """Records of the CSV at data, else of the default dataset; errors are CliErrors."""
+    """Records of the CSV at data, else of the default dataset; a read failure is a CliError."""
     try:
         return atlas_mod.load_records(atlas_mod.default_dataset_path() if data is None else data)
     except FileNotFoundError as exc:
         raise CliError(f"dataset not found: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read dataset: {exc}") from exc
-    except atlas_mod.AtlasError as exc:
-        raise CliError(str(exc)) from exc
 
 
 # -- shared checks --------------------------------------------------------------
@@ -357,10 +357,7 @@ def cmd_detcheck(args) -> Report:
 def cmd_serre(args) -> Report:
     report = Report("serre")
     gram = resolve_gram(args, report)
-    try:
-        op = serre_operator(gram)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    op = serre_operator(gram)
     report.add_matrix("serre", op.matrix.rows)
     a = gram.base
     s = op.matrix
@@ -379,6 +376,9 @@ def cmd_serre(args) -> Report:
 
 def cmd_sonb(args) -> Report:
     report = Report("sonb")
+    _exclude(args, "matrix", "profile", "poly", "twists")
+    if args.verify_basis is not None and args.symmetry == "serre":
+        raise CliError("--verify-basis cannot be combined with --symmetry serre")
     if args.matrix is not None:
         if args.mod is None and args.verify_basis is None:
             raise CliError("--matrix needs --mod (or --verify-basis over Z)")
@@ -407,17 +407,14 @@ def cmd_sonb(args) -> Report:
             symmetry = source_matrix.inverse() * source_matrix.transpose()
         except ValueError as exc:
             raise CliError(f"cannot build Serre operator: {exc}") from exc
-    try:  # enumeration and search raise ValueError past the enumeration cap
-        if symmetry is not None:
-            _serre_candidates(report, space, symmetry)
-        elif space.total_vectors <= 1 << 16:
-            report.add_record("candidates", len(enumerate_candidates(space)))
-        else:
-            report.add_note("candidate count skipped on a large space; the search "
-                            "enumerates feasible vectors lazily")
-        result = search(space, symmetry=symmetry)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if symmetry is not None:  # enumeration and search raise ValueError past the cap
+        _serre_candidates(report, space, symmetry)
+    elif space.total_vectors <= 1 << 16:
+        report.add_record("candidates", len(enumerate_candidates(space)))
+    else:
+        report.add_note("candidate count skipped on a large space; the search "
+                        "enumerates feasible vectors lazily")
+    result = search(space, symmetry=symmetry)
     report.add_record("outcome", "found" if result.found else "exhausted")
     report.add_record("nodes", result.nodes_explored)
     if result.found:
@@ -509,6 +506,7 @@ def _parse_combo(text: str):
 
 def cmd_decompose(args) -> Report:
     report = Report("decompose")
+    _exclude(args, "chi", "regular")
     if args.regular:
         chi = regular_character()
         report.add_input("character", "regular")
@@ -516,10 +514,7 @@ def cmd_decompose(args) -> Report:
         report.add_input("character", args.chi)
         chi = None
         for k, name in _parse_combo(args.chi):
-            try:
-                term = irreducible(name).scaled(k)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
+            term = irreducible(name).scaled(k)
             chi = term if chi is None else chi + term
     else:
         raise CliError("give --chi EXPR or --regular")
@@ -544,6 +539,8 @@ def _record_row(report, i, r):
 
 def cmd_atlas(args) -> Report:
     report = Report("atlas")
+    _exclude(args, "count", "verify", "aut", "three_torsion_free", "k_phantom")
+    _exclude(args, "verify", "aut", "three_torsion_free", "k_phantom")
     records = _load_atlas(args.data)
     report.add_input("data", "default" if args.data is None else args.data)
 
@@ -585,10 +582,7 @@ def cmd_atlas(args) -> Report:
 
     matched = list(records)
     if args.aut is not None:
-        try:
-            matched = list(atlas_mod.query_aut(matched, args.aut).records)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        matched = list(atlas_mod.query_aut(matched, args.aut).records)
         report.add_input("aut", args.aut)
     if args.three_torsion_free:
         matched = [r for r in matched if atlas_mod.three_torsion_free(r)]
@@ -835,7 +829,7 @@ def main(argv=None) -> int:
             if value == "":
                 raise CliError(f"--{key.replace('_', '-')} needs a nonempty value")
         report = args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError: the library rejected the data
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render(args.format))

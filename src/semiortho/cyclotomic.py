@@ -235,8 +235,8 @@ class Cyclotomic:
             return NotImplemented
         return self.n == other.n and self._num == other._num and self._den == other._den
 
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
+    def __hash__(self):  # a rational element equals, so hashes as, its Fraction
+        return hash(self.as_rational()) if self.is_rational() else hash((self.n, self.coeffs))
 
     def __bool__(self):
         return not self.is_zero()

@@ -8,8 +8,8 @@ degree exactly n.  A Gram matrix is numerically exceptional when its
 diagonal is 1 and every entry below the diagonal vanishes.
 
 The Serre operator of an invertible Gram matrix A is S = A^(-1) A^t.  It
-satisfies (u, v) = (v, S u), hence A S = A^t and S^t A S = A; both relations
-are verified at construction.
+satisfies (u, v) = (v, S u), hence A S = A^t and S^t A S = A.  Construction
+verifies A S = A^t, which gives S^t A S = S^t A^t = (A S)^t = A.
 
 Everything here is immutable and pure.
 """

@@ -210,10 +210,28 @@ def test_sonb_enumeration_cap_is_a_usage_error():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: enumeration cap exceeded")
-    assert proc.stderr.count("\n") == 1
+    assert proc.stderr == "error: enumeration cap exceeded: 558545864083284007 > 1048576\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("gram", "--poly", "0"), "polynomial degree -1 != dimension 0"),
+    (("serre", "--profile", "wilson", "--mod", "5"), "matrix is singular"),
+    (("decompose", "--chi", "C+V9"),
+     "unknown irreducible 'V9'; choose from ('C', 'V1', 'V1bar', 'V3', 'V3bar')"),
+    (("atlas", "--aut", "Z/9"),
+     "unknown group label 'Z/9'; choose from ('trivial', 'Z/3', '(Z/3)^2', 'G21')"),
+])
+def test_library_value_error_is_a_data_error(argv, err, capsys):
+    assert run_cli(*argv, "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_bad_dataset_header_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,an,atlas\n", encoding="utf-8")
+    assert run_cli("atlas", "--count", "--data", str(bad), "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == "error: row 1: bad header ['not', 'an', 'atlas']\n"
 
 
 def test_lefschetz_command():
@@ -349,6 +367,33 @@ def test_unread_option_is_a_usage_error(argv, capsys):
         run_cli(*argv, "--format", "machine")
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("sonb", "--matrix", "1,1;0,1", "--mod", "2", "--profile", "pn:1"),
+     "--matrix cannot be combined with --profile"),
+    (("sonb", "--matrix", "1,1;0,1", "--mod", "2", "--poly", "1,1"),
+     "--matrix cannot be combined with --poly"),
+    (("sonb", "--matrix", "1,1;0,1", "--mod", "2", "--twists", "0,1"),
+     "--matrix cannot be combined with --twists"),
+    (("sonb", "--profile", "pn:1", "--mod", "2", "--symmetry", "serre", "--verify-basis", "1,0;0,1"),
+     "--verify-basis cannot be combined with --symmetry serre"),
+    (("decompose", "--chi", "V9", "--regular"), "--chi cannot be combined with --regular"),
+    (("atlas", "--count", "--verify"), "--count cannot be combined with --verify"),
+    (("atlas", "--count", "--aut", "G21"), "--count cannot be combined with --aut"),
+    (("atlas", "--count", "--three-torsion-free"),
+     "--count cannot be combined with --three-torsion-free"),
+    (("atlas", "--count", "--k-phantom"), "--count cannot be combined with --k-phantom"),
+    (("atlas", "--verify", "--aut", "G21"), "--verify cannot be combined with --aut"),
+    (("atlas", "--verify", "--three-torsion-free"),
+     "--verify cannot be combined with --three-torsion-free"),
+    (("atlas", "--verify", "--k-phantom"), "--verify cannot be combined with --k-phantom"),
+])
+def test_option_that_the_mode_ignores_is_a_usage_error(argv, err, monkeypatch, capsys):
+    # a missing dataset shows that atlas checks its options before loading
+    monkeypatch.setenv("SEMIORTHO_ATLAS", "/nonexistent.csv")
+    assert run_cli(*argv, "--format", "machine") == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_gram_mod_zero_is_a_usage_error(capsys):
@@ -502,9 +547,11 @@ def test_fuzz_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
         except SystemExit as exc:  # argparse rejects the argv
             code, out = exc.code, capsys.readouterr().out
             assert code == 2, argv
+        else:  # main's own exit 2 writes exactly one error line
+            err = capsys.readouterr().err
+            assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1), argv
         assert code in (0, 1, 2), argv
         failed = any(line.startswith("check.") and line.endswith("=FAIL")
                      for line in out.splitlines())
         assert (code == 1) == failed, argv
         assert (code == 2) == (out == ""), argv
-        capsys.readouterr()

@@ -229,6 +229,8 @@ class Cyclotomic:
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic) and other.n != self.n and other.is_rational():
+            other = other.as_rational()  # rational elements compare by value
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and Fraction(self._num[0], self._den) == other
         if not isinstance(other, Cyclotomic):

@@ -4,8 +4,10 @@ Conventions.  For a profile with Hilbert polynomial P and a twist sequence
 (c_0, ..., c_r), the Gram matrix has entry(i, j) = P(c_j - c_i): the pairing
 of the i-th object against the j-th.  With twists (0, 1, ..., n) this is the
 matrix a_{i,j} = P(j - i), whose determinant is (n! p_n)^(n+1) for P of
-degree exactly n.  A Gram matrix is numerically exceptional when its
-diagonal is 1 and every entry below the diagonal vanishes.
+degree exactly n.  A GramMatrix builds its entries from that law (mod p for
+a prime modulus p) and derives from the profile whether p divides n! p_n.
+A Gram matrix is numerically exceptional when its diagonal is 1 and every
+entry below the diagonal vanishes.
 
 The Serre operator of an invertible Gram matrix A is S = A^(-1) A^t.  It
 satisfies (u, v) = (v, S u), hence A S = A^t and S^t A S = A.  Construction
@@ -16,7 +18,7 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -83,46 +85,41 @@ def profile_from_polynomial(polynomial: IntValuedPolynomial, name: str = "custom
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Euler-pairing matrix of twisted line-bundle classes.
+    """Euler-pairing matrix of twisted line-bundle classes, over Z or mod p.
 
-    p_divides_deg is None over Z and records, after reduce_mod, whether the
-    prime divides the profile degree (when it does, existence of a
+    ``base`` is derived, never passed: entry(i, j) = P(c_j - c_i), mod p when
+    the modulus is a prime p.  p_divides_deg is None over Z and says mod p
+    whether p divides the profile degree (when it does, existence of a
     semi-orthonormal basis is no longer forced by unimodular descent).
     """
 
     profile: HilbertProfile
     twists: tuple[int, ...]
-    base: ExactMatrix
-    p_divides_deg: bool | None = None
+    modulus: int = 0
+    base: ExactMatrix = field(init=False, compare=False)
 
     def __post_init__(self):
-        if len(self.twists) != self.base.size:
-            raise ValueError("twist count must match matrix size")
-        p = self.base.modulus
-        got = self.base.int_rows() if self.base.is_integer() else self.base.rows
-        for i, want_row in enumerate(_entry_rows(self.profile.polynomial, self.twists)):
-            want_row = tuple(x % p for x in want_row) if p else want_row
-            if got[i] != want_row:
-                j = next(j for j, (x, y) in enumerate(zip(got[i], want_row)) if x != y)
-                raise ValueError(f"entry law violated at ({i}, {j})")
+        twists = tuple(int(t) for t in self.twists)
+        if not twists:
+            raise ValueError("twist sequence must be nonempty")
+        object.__setattr__(self, "twists", twists)
+        rows = _entry_rows(self.profile.polynomial, twists)
+        object.__setattr__(self, "base", ExactMatrix(rows, self.modulus))
 
     @property
     def size(self) -> int:
         return self.base.size
 
     @property
-    def modulus(self) -> int:
-        return self.base.modulus
+    def p_divides_deg(self) -> bool | None:
+        return self.profile.deg % self.modulus == 0 if self.modulus else None
 
     def determinant(self):
         return self.base.determinant()
 
 
 def gram_from_twists(profile: HilbertProfile, twists) -> GramMatrix:
-    twists = tuple(int(t) for t in twists)
-    if not twists:
-        raise ValueError("twist sequence must be nonempty")
-    return GramMatrix(profile, twists, ExactMatrix(_entry_rows(profile.polynomial, twists), 0))
+    return GramMatrix(profile, twists)
 
 
 def _entry_rows(poly: IntValuedPolynomial, twists) -> tuple[tuple[int, ...], ...]:
@@ -132,13 +129,12 @@ def _entry_rows(poly: IntValuedPolynomial, twists) -> tuple[tuple[int, ...], ...
 
 
 def reduce_mod(gram: GramMatrix, p: int) -> GramMatrix:
-    """Entrywise residues mod a prime, recording whether p divides deg."""
+    """The same Gram matrix with entries mod a prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if gram.modulus:
         raise ValueError("Gram matrix is already reduced")
-    base = ExactMatrix(gram.base.int_rows(), p)
-    return GramMatrix(gram.profile, gram.twists, base, gram.profile.deg % p == 0)
+    return GramMatrix(gram.profile, gram.twists, p)
 
 
 @dataclass(frozen=True)

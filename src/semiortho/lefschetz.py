@@ -20,7 +20,7 @@ power, t_i = 5 (a_i + b_i) mod 7 (5 being the inverse of 3 mod 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, root_of_unity
@@ -105,23 +105,22 @@ def canonical_trace(datum: FixedPointDatum) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class TwistTraceTable:
-    """Per-point exponents t_i with trace on the k-th twist = zeta^(k t_i)."""
+    """Per-point exponents t_i with trace on the k-th twist = zeta^(k t_i),
+    derived from the datum: t_i = 5 (a_i + b_i), so 3 t_i = a_i + b_i mod 7."""
 
     datum: FixedPointDatum
-    exponents: tuple[int, int, int]
+    exponents: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
-        for (a, b), t in zip(self.datum.exponent_pairs, self.exponents):
-            if (3 * t - (a + b)) % 7:
-                raise ValueError("3 t_i must equal the canonical exponent mod 7")
+        exponents = tuple(5 * c % 7 for c in canonical_trace(self.datum))
+        object.__setattr__(self, "exponents", exponents)
 
     def trace_exponent(self, point: int, k: int) -> int:
         return (k * self.exponents[point]) % 7
 
 
 def twist_traces(datum: FixedPointDatum) -> TwistTraceTable:
-    canonical = canonical_trace(datum)
-    return TwistTraceTable(datum, tuple(5 * c % 7 for c in canonical))
+    return TwistTraceTable(datum)
 
 
 def h0_trace(datum: FixedPointDatum, k: int) -> Cyclotomic:

@@ -199,6 +199,10 @@ def test_rational_element_hashes_like_its_value():
     assert Cyclotomic.rational(21, Fraction(1, 2)) in {Fraction(1, 2)}
     assert {Cyclotomic.one(1), 1, Fraction(1)} == {1}
     assert hash(Cyclotomic(7, [0] * 6 + [1])) == hash(Cyclotomic(7, [-1] * 6))
+    a, b = Cyclotomic.rational(7, 3), Cyclotomic.rational(21, 3)
+    assert a == b and b == a
+    assert len({a, b, 3}) == 1
+    assert root_of_unity(7, 1) != root_of_unity(21, 3)  # equal only after lift_to(21)
 
 
 def test_long_and_string_inputs_reduce_like_the_oracle():

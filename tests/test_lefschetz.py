@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from semiortho import (
@@ -77,6 +79,15 @@ def test_twist_consistency_for_all_solutions():
         table = twist_traces(datum)
         for (ai, bi), t in zip(datum.exponent_pairs, table.exponents):
             assert 3 * t % 7 == (ai + bi) % 7
+
+
+def test_twist_exponents_solve_three_t_for_every_datum():
+    for a, b in product(range(1, 7), repeat=2):
+        datum = FixedPointDatum.from_first_pair(a, b)
+        table = twist_traces(datum)
+        for (ai, bi), t in zip(datum.exponent_pairs, table.exponents):
+            assert 3 * t % 7 == (ai + bi) % 7
+        assert tuple(table.trace_exponent(i, 3) for i in range(3)) == canonical_trace(datum)
 
 
 def test_trace_at_zero_is_one_for_every_solution():

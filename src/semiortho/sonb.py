@@ -19,11 +19,13 @@ before any walk: any basis can be translated to one starting at a
 representative, and the first basis is the plain search's.
 
 Kernel.  Each node carries W_k = {y : (y, v) = 0 for every placed v} as its
-reduced basis (one vector per free column, 1 there and 0 at the other free
-columns), cut by one elimination step per placement (``_restrict``) and
-walked in increasing code order by one addition per vector (``_walk``).  A
-vector of W_k with (x, x) = 1 is never in the span of the placed v_k: x =
-sum c_k v_k would give (x, x) = sum c_k (x, v_k) = 0.  So there is no
+reduced basis B (one vector per free column, 1 there and 0 at the other free
+columns) and its Gram matrix G = B A B^t, both cut by one elimination step
+per placement (``_restrict``).  Its candidates x = t B, the roots of
+t^t G t = 1, come from ``_roots``, the lazy walk that ``enumerate_candidates``
+runs to the end; B is reduced, so increasing t is increasing code order of x.
+A vector of W_k with (x, x) = 1 is never in the span of the placed v_k:
+x = sum c_k v_k would give (x, x) = sum c_k (x, v_k) = 0.  So there is no
 dependence test, and the ``dependent_rejections`` stat is 0 by construction.
 
 Memo.  Each call keeps a table of failed states.  A state is the kernel
@@ -45,7 +47,7 @@ mutation, not open-ended search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 from operator import mul
 
 from .eulerform import GramMatrix, SerreOperator
@@ -85,11 +87,9 @@ class FormSpace:
         return cls(matrix.size, matrix.modulus, matrix.int_rows())
 
     def pair(self, u, v) -> int:
-        s = 0
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.form[i]
-                s += ui * sum(row[j] * v[j] for j in range(self.dimension))
+        if len(u) != self.dimension or len(v) != self.dimension:
+            raise ValueError(f"vectors must have {self.dimension} entries")
+        s = sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.form) if ui)
         return s % self.modulus if self.modulus else s
 
     @property
@@ -138,33 +138,45 @@ def _check_cap(space: FormSpace) -> None:
 
 
 def enumerate_candidates(space: FormSpace) -> CandidateSet:
-    """Exact set of vectors with (x, x) = 1, in code order (p^d within the cap).
-
-    A walk over the p^(d-1) prefixes x' = (x_1, ..., x_{d-1}), most
-    significant first, carrying b = sum (A_0i + A_i0) x_i, c = (x', x') and
-    the code: a table of the roots of A_00 t^2 + b t + c = 1 gives each x_0.
-    """
+    """Exact set of vectors with (x, x) = 1, in code order (p^d within the cap):
+    ``search``'s lazy candidate walk ``_roots`` over the form, run to the end."""
     _check_cap(space)
-    p, d, a = space.modulus, space.dimension, space.form
-    sym = [[a[i][j] + a[j][i] for j in range(i)] for i in range(d)]
-    roots = [[t for t in range(p) if (a[0][0] * t * t + b * t + c) % p == 1]
-             for b in range(p) for c in range(p)]
-    vecs, codes = [], []
+    codes, vectors = tuple(zip(*_roots(space.form, space.modulus))) or ((), ())
+    return CandidateSet(space, vectors, codes)
 
-    def walk(k, s, c, tail, code):
-        # coordinates above k are fixed in tail, worth code; s[i] = sum_j>k (A_ij + A_ji) x_j
-        if not k:
-            for t in roots[s[0] % p * p + c % p]:
-                vecs.append((t,) + tail)
-                codes.append(code + t)
-            return
-        for v in range(p):
-            walk(k - 1, [x + v * y for x, y in zip(s, sym[k])],
-                 c + v * s[k] + a[k][k] * v * v, (v,) + tail, code + v * p**k)
 
-    walk(d - 1, [0] * d, 0, (), 0)
-    del walk  # it refers to itself: free vecs now, not at a later cyclic collection
-    return CandidateSet(space, tuple(vecs), tuple(codes))
+@lru_cache(maxsize=None)
+def _root_table(a: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b p + c: the roots t of a t^2 + b t + c = 1 mod p."""
+    return tuple(tuple(t for t in range(p) if (a * t * t + b * t + c) % p == 1)
+                 for b in range(p) for c in range(p))
+
+
+def _roots(g, p: int):
+    """(t, digits), t = sum digits_k p^k, for each root of digits^t g digits = 1 mod p,
+    in increasing t and drawn lazily, for an m x m form g (m >= 1).
+
+    An odometer over the prefixes (digits 1..m-1) keeps, for the digits at k and
+    above, s[k][i] = sum_j (g_ij + g_ji) digits_j (i < k) and their quadratic
+    form q[k]; ``_root_table`` solves g_00 t^2 + s[1][0] t + q[1] = 1."""
+    m, table = len(g), _root_table(g[0][0], p)
+    sym = [None] * m  # sym[k][i] = g_ki + g_ik, i < k, built when digit k first moves
+    digits, s, q = [0] * m, [[0] * m] * (m + 1), [0] * (m + 1)
+    for prefix in range(0, p**m, p):
+        if prefix:  # count up digits 1..m-1: digit k moves, the digits below it reset
+            k = 1
+            while digits[k] == p - 1:
+                k += 1
+            v = digits[k] = digits[k] + 1
+            row = sym[k] = sym[k] or [g[k][i] + g[i][k] for i in range(k)]
+            up = s[k + 1]
+            s[k] = [x + v * y for x, y in zip(up, row)]
+            q[k] = q[k + 1] + v * up[k] + g[k][k] * v * v
+            if k > 1:
+                digits[1:k], s[1:k], q[1:k] = [0] * (k - 1), [s[k]] * (k - 1), [q[k]] * (k - 1)
+        for t in table[s[1][0] % p * p + q[1] % p]:
+            digits[0] = t
+            yield prefix + t, tuple(digits)
 
 
 _NOT_PRESERVED = "operator does not preserve the candidate set (form-preservation defect)"
@@ -231,8 +243,8 @@ def pairing_matrix(space: FormSpace, vectors) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The first basis (None when Exhausted) and the proof tree's counts:
-    placements, pairing_rejections, dependent_rejections (0 by construction,
+    """The first basis (None when Exhausted) and the proof tree's counts: placements,
+    pairing_rejections (derived, see ``search``), dependent_rejections (0 by construction,
     as the carried kernel holds no dependent feasible vector) and memo_hits."""
 
     basis: tuple[tuple[int, ...], ...] | None
@@ -251,39 +263,30 @@ class SearchResult:
         return dict(self.stats)[key]
 
 
-def _restrict(kernel, row, p: int):
-    """Reduced basis of {y in span(kernel) : y . row = 0 mod p}.
+def _restrict(kernel, gram, c, p: int):
+    """Cut span(kernel) by sum y_j c_j = 0 mod p: its reduced basis and R gram R^t.
 
-    With c_j = kernel[j] . row, the first i with c_i != 0 becomes a pivot and
-    kernel[j] - (c_j / c_i) kernel[i], j != i, is again reduced.  Cutting the
-    unit basis by each row of a matrix gives the reduced nullspace basis.
-    """
-    c = [sum(map(mul, b, row)) % p for b in kernel]
-    i = next((j for j, cj in enumerate(c) if cj), None)
+    The first i with c_i != 0 mod p is the pivot; R maps row j != i to row j
+    - (c_j / c_i) row i, which keeps a reduced basis reduced.  Cutting the
+    unit basis by each row w of a matrix (c_j = kernel[j] . w) gives the
+    reduced nullspace basis."""
+    i = next((j for j, cj in enumerate(c) if cj % p), None)
     if i is None:
-        return kernel
-    pivot, inv = kernel[i], pow(c[i], -1, p)
-    return tuple(
-        tuple((x - cj * inv * y) % p for x, y in zip(b, pivot)) if cj else b
-        for j, (b, cj) in enumerate(zip(kernel, c)) if j != i
-    )
-
-
-def _walk(kernel, p: int):
-    """(t, sum t_k kernel[k]) for t = 1, ..., p^m - 1, t_k the base-p digits of t.
-
-    Raising t adds kernel[0] + ... + kernel[k], k the trailing zero digits of
-    the new t.  A reduced basis is walked in increasing code order; for the
-    unit basis, t is the code of x.
-    """
-    steps = list(accumulate(kernel, lambda s, b: tuple((u + v) % p for u, v in zip(s, b))))
-    x = (0,) * len(kernel[0]) if kernel else ()
-    for t in range(1, p ** len(kernel)):
-        k, q = 0, t
-        while not q % p:
-            k, q = k + 1, q // p
-        x = tuple((u + v) % p for u, v in zip(x, steps[k]))
-        yield t, x
+        return kernel, gram
+    inv = pow(c[i], -1, p)
+    r = [cj * inv % p for cj in c]
+    pivot, gi = kernel[i], gram[i]
+    basis, cut = [], []
+    for j, (b, h, rj) in enumerate(zip(kernel, gram, r)):
+        if j != i:
+            if rj:
+                b = tuple([(x - rj * y) % p for x, y in zip(b, pivot)])
+                h = [(x - rj * y) % p for x, y in zip(h, gi)]
+            if hi := h[i]:
+                h = [(x - hi * y) % p for x, y in zip(h, r)]
+            basis.append(b)
+            cut.append(h[:i] + h[i + 1:])
+    return tuple(basis), cut
 
 
 def search(
@@ -298,8 +301,12 @@ def search(
     symmetry must be an invertible isometry of the form (S^t A S = A mod p);
     it is checked once, before the first placement, and anything else raises.
 
-    Each level walks the carried constraint kernel, where a feasible vector
-    is never dependent, so ``dependent_rejections`` is 0 by construction.
+    Each level draws its candidates from ``_roots`` over the Gram matrix of
+    the carried constraint kernel, where a feasible vector is never
+    dependent, so ``dependent_rejections`` is 0 by construction.  The
+    ``pairing_rejections`` of a level of dimension m are derived: t - 1 - i
+    when it returns candidate i, of code t; p^m - 1 minus its candidates
+    when it fails; none at a symmetric root.
 
     Failed subtrees are memoized by their constraint kernel and not walked
     twice; the stats still count the full proof tree, crediting each of the
@@ -309,7 +316,7 @@ def search(
     if not p:
         raise ValueError("integer spaces support verification only; use verify_semi_orthonormal")
     _check_cap(space)
-    d, form = space.dimension, space.form
+    d = space.dimension
     representative = None
     if symmetry is not None:
         act = _symmetry_action(space, symmetry, d * d)
@@ -324,34 +331,33 @@ def search(
     # reduced basis of a kernel -> counts of its failed subtree
     failed: dict[tuple, tuple[int, int]] = {}
 
-    def dfs(chosen, kernel) -> tuple[tuple[int, ...], ...] | None:
-        # kernel = {y : (y, v) = 0 for every chosen v}, cut by the parent
+    def dfs(kernel, gram) -> tuple[tuple[int, ...], ...] | None:
+        # the rest of a basis in span(kernel), the constraint kernel; gram = kernel A kernel^t
         nonlocal nodes, pairing_rejections, memo_hits
-        if len(chosen) == d:
-            return chosen
+        if not kernel:
+            return ()
         if kernel in failed:
             memo_hits += 1
             dn, dpair = failed[kernel]
             nodes += dn
             pairing_rejections += dpair
             return None
-        first_slot = representative if not chosen else None
-        before = (nodes, pairing_rejections)
-        for t, x in _walk(kernel, p):
-            if space.pair(x, x) != 1:
-                pairing_rejections += first_slot is None  # none at a symmetric root
-                continue
-            if first_slot is not None and not first_slot(t):  # t is x's code at the root
+        first_slot = representative if len(kernel) == d else None
+        before, i = (nodes, pairing_rejections), -1
+        for i, (t, digits) in enumerate(_roots(gram, p)):
+            if first_slot and not first_slot(t):  # t is x's code at the root
                 continue
             nodes += 1
-            row = [sum(map(mul, r, x)) for r in form]  # (y, x) = y . row
-            result = dfs((*chosen, x), _restrict(kernel, row, p))
-            if result is not None:
-                return result
+            # c_j = (kernel[j], x) for x = t . kernel
+            rest = dfs(*_restrict(kernel, gram, [sum(map(mul, row, digits)) for row in gram], p))
+            if rest is not None:
+                pairing_rejections += 0 if first_slot else t - 1 - i
+                return (tuple(sum(map(mul, col, digits)) % p for col in zip(*kernel)), *rest)
+        pairing_rejections += 0 if first_slot else p ** len(kernel) - 2 - i
         failed[kernel] = (nodes - before[0], pairing_rejections - before[1])
         return None
 
-    basis = dfs((), tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+    basis = dfs(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), space.form)
     del dfs  # it refers to itself: free the memo now, not at a later cyclic collection
     stats = (("placements", nodes), ("pairing_rejections", pairing_rejections),
              ("dependent_rejections", 0), ("memo_hits", memo_hits))
@@ -361,22 +367,15 @@ def search(
 def is_semi_orthonormal_family(space: FormSpace, vectors) -> bool:
     """Pairing conditions plus linear independence, for any family length."""
     vectors = [tuple(v) for v in vectors]
-    for i, vi in enumerate(vectors):
-        if space.pair(vi, vi) != 1:
-            return False
-        for j in range(i):
-            if space.pair(vi, vectors[j]) != 0:
-                return False
-    _, pivots = rref(vectors, space.dimension, space.modulus)
-    return len(pivots) == len(vectors)
+    pairings = all(space.pair(v, v) == 1 and not any(space.pair(v, u) for u in vectors[:i])
+                   for i, v in enumerate(vectors))
+    return pairings and len(rref(vectors, space.dimension, space.modulus)[1]) == len(vectors)
 
 
 def verify_semi_orthonormal(space: FormSpace, basis) -> bool:
     """Independent check of a full basis: pairing conditions plus full rank."""
     basis = [tuple(v) for v in basis]
-    if len(basis) != space.dimension:
-        return False
-    return is_semi_orthonormal_family(space, basis)
+    return len(basis) == space.dimension and is_semi_orthonormal_family(space, basis)
 
 
 def mutate(basis, index: int, space: FormSpace):

@@ -14,7 +14,7 @@ from semiortho import (
     wilson_fourfold,
 )
 from semiortho.exactmat import _code_action, rref
-from semiortho.sonb import _restrict, _walk, vector_code
+from semiortho.sonb import _restrict, _roots, vector_code
 
 from oracles import cofactor_determinant, random_int_valued_poly
 
@@ -134,6 +134,7 @@ def _minor_rank(rows, p):
 @pytest.mark.parametrize("p", [2, 3, 7, 0])
 def test_rref_rank_and_nullspace_match_minor_oracle(p):
     rng = random.Random(1000 + p)
+    forms = random.Random(2000 + p)  # the forms A, apart from the matrices
 
     def entry():
         return rng.randrange(-3, 4) if p else Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
@@ -157,21 +158,31 @@ def test_rref_rank_and_nullspace_match_minor_oracle(p):
                 assert row[pc] == 1
                 assert all(other[pc] == 0 for k, other in enumerate(reduced) if k != i)
             if p:
-                basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                # cut the unit basis and the Gram matrix of a random form A by each row
+                form = [[forms.randrange(p) for _ in range(n)] for _ in range(n)]
+                basis, gram = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), form
                 for w in rows:
-                    basis = _restrict(basis, w, p)
+                    c = [sum(a * b for a, b in zip(w, v)) for v in basis]
+                    basis, gram = _restrict(basis, gram, c, p)
                 assert len(basis) == n - rank
                 assert all(sum(a * b for a, b in zip(w, v)) % p == 0
                            for v in basis for w in rows)
                 assert not basis or _minor_rank(basis, p) == len(basis)
-                if p**n <= 729:  # brute force over F_p^n: the walk visits the
-                    # nonzero nullspace vectors in increasing code order
+                assert [list(g) for g in gram] == [
+                    [sum(u[i] * form[i][j] * v[j] for i in range(n) for j in range(n)) % p
+                     for v in basis] for u in basis]
+                if p**n <= 729:  # brute force over F_p^n: the node's decoded candidates
+                    # are the nullspace vectors with (x, x) = 1, in increasing code order
                     kernel = sorted(
                         (v for v in product(range(p), repeat=n) if any(v)
                          and all(sum(a * b for a, b in zip(w, v)) % p == 0 for w in rows)),
                         key=lambda v: vector_code(v, p),
                     )
-                    assert [x for _, x in _walk(basis, p)] == kernel
+                    ones = [v for v in kernel
+                            if sum(v[i] * form[i][j] * v[j] for i in range(n) for j in range(n)) % p == 1]
+                    decoded = [tuple(sum(tk * b[j] for tk, b in zip(t, basis)) % p for j in range(n))
+                               for _, t in _roots(gram, p)] if basis else []
+                    assert decoded == ones
 
 
 def test_matrix_order_identity():

@@ -23,8 +23,15 @@ from semiortho import (
     wilson_fourfold,
 )
 from semiortho import reference as ref
+from semiortho import sonb
 from semiortho.reptheory import dimension_candidates
-from semiortho.sonb import DEFAULT_ENUMERATION_CAP, CandidateSet, vector_code, vector_from_code
+from semiortho.sonb import (
+    DEFAULT_ENUMERATION_CAP,
+    CandidateSet,
+    is_semi_orthonormal_family,
+    vector_code,
+    vector_from_code,
+)
 
 from oracles import (
     _vectors,
@@ -375,6 +382,53 @@ def test_fixed_instance_search_stats():
         )
         assert result.nodes_explored == counts[0]
     assert brute_force_sonb(singular.form, 2, 3)[1] == 4
+
+
+def test_search_makes_no_pairing_call(monkeypatch):
+    # the candidates of every level come from the walker over the kernel's
+    # Gram matrix, never from FormSpace.pair
+    space, op = wilson_space()
+    rng = random.Random(1003)  # the slowest form of acceptance criterion 4
+    d = rng.randrange(2, 6)
+    slowest = FormSpace(d, 3, tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d)))
+    calls = [lambda: search(space), lambda: search(space, symmetry=op), lambda: search(slowest)]
+    before = [call() for call in calls]
+
+    def refuse(self, u, v):
+        raise AssertionError("search called FormSpace.pair")
+
+    monkeypatch.setattr(FormSpace, "pair", refuse)
+    assert [call() for call in calls] == before
+
+
+def test_found_search_at_the_cap_draws_few_candidates(monkeypatch):
+    # pn:19 mod 2 has 2^20 vectors; a Found search pulls about one candidate
+    # per placement from the lazy walker, so an eager enumeration fails here
+    space = pn_space(19, 2)
+    assert space.total_vectors == DEFAULT_ENUMERATION_CAP
+    walk, pulled = sonb._roots, []
+
+    def counting(gram, p):
+        for item in walk(gram, p):
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(sonb, "_roots", counting)
+    result = search(space)
+    assert result.basis == standard_basis(20)
+    assert 20 <= len(pulled) <= 2 * 20
+
+
+def test_pairing_rejects_vectors_of_the_wrong_length():
+    space = FormSpace(2, 2, ((1, 0), (0, 1)))
+    assert verify_semi_orthonormal(space, [(1, 0), (0, 1)])
+    for family in ([(1, 0, 0), (0, 1, 0)], [(1, 0, 1), (0, 1, 0)], [(1,), (0, 1)], [(1, 0), (0,)]):
+        for call in (verify_semi_orthonormal, is_semi_orthonormal_family, pairing_matrix,
+                     lambda space, vectors: mutate(vectors, 0, space)):
+            with pytest.raises(ValueError):
+                call(space, family)
+    with pytest.raises(ValueError):
+        FormSpace(2, 0, ((1, 0), (0, 1))).pair((1, 0, 0), (1, 0))
 
 
 def test_memo_hits_reported():

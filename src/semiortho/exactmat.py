@@ -6,8 +6,8 @@ over Z, its entries bounded by minors) run on the stored numerators: taken
 mod p, or divided by D^n over Q.  ``rref`` is the single Gauss-Jordan
 reduction, over F_p (p prime) or Q (p = 0); ranks and inverses are read off
 its output (``sonb.search`` cuts its constraint kernels and their Gram
-matrices one constraint at a time with ``sonb._restrict`` instead).  No floating point anywhere: a float
-entry raises.
+matrices one constraint at a time with ``sonb._restrict`` instead).  No
+floating point anywhere: a float entry raises.
 """
 
 from __future__ import annotations

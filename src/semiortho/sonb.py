@@ -89,7 +89,11 @@ class FormSpace:
     def pair(self, u, v) -> int:
         if len(u) != self.dimension or len(v) != self.dimension:
             raise ValueError(f"vectors must have {self.dimension} entries")
-        s = sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.form) if ui)
+        s = 0
+        for i, ui in enumerate(u):
+            if ui:
+                row = self.form[i]
+                s += ui * sum(row[j] * v[j] for j in range(self.dimension))
         return s % self.modulus if self.modulus else s
 
     @property
@@ -145,11 +149,11 @@ def enumerate_candidates(space: FormSpace) -> CandidateSet:
     return CandidateSet(space, vectors, codes)
 
 
-@lru_cache(maxsize=None)
-def _root_table(a: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Entry b p + c: the roots t of a t^2 + b t + c = 1 mod p."""
-    return tuple(tuple(t for t in range(p) if (a * t * t + b * t + c) % p == 1)
-                 for b in range(p) for c in range(p))
+@lru_cache(maxsize=1 << 16)
+def _solve(a: int, b: int, c: int, p: int) -> tuple[int, ...]:
+    """The roots t of a t^2 + b t + c = 1 mod p, scanned once per triple that a
+    walk reaches and kept in a bounded cache."""
+    return tuple(t for t in range(p) if (a * t * t + b * t + c) % p == 1)
 
 
 def _roots(g, p: int):
@@ -158,8 +162,9 @@ def _roots(g, p: int):
 
     An odometer over the prefixes (digits 1..m-1) keeps, for the digits at k and
     above, s[k][i] = sum_j (g_ij + g_ji) digits_j (i < k) and their quadratic
-    form q[k]; ``_root_table`` solves g_00 t^2 + s[1][0] t + q[1] = 1."""
-    m, table = len(g), _root_table(g[0][0], p)
+    form q[k]; ``_solve`` gives digit 0, the roots of g_00 t^2 + s[1][0] t + q[1] = 1,
+    so a walk costs at most p steps per prefix, p^m in all."""
+    m, a = len(g), g[0][0] % p
     sym = [None] * m  # sym[k][i] = g_ki + g_ik, i < k, built when digit k first moves
     digits, s, q = [0] * m, [[0] * m] * (m + 1), [0] * (m + 1)
     for prefix in range(0, p**m, p):
@@ -173,8 +178,10 @@ def _roots(g, p: int):
             s[k] = [x + v * y for x, y in zip(up, row)]
             q[k] = q[k + 1] + v * up[k] + g[k][k] * v * v
             if k > 1:
-                digits[1:k], s[1:k], q[1:k] = [0] * (k - 1), [s[k]] * (k - 1), [q[k]] * (k - 1)
-        for t in table[s[1][0] % p * p + q[1] % p]:
+                digits[1:k] = [0] * (k - 1)
+                s[1:k] = [s[k]] * (k - 1)
+                q[1:k] = [q[k]] * (k - 1)
+        for t in _solve(a, s[1][0] % p, q[1] % p, p):
             digits[0] = t
             yield prefix + t, tuple(digits)
 
@@ -367,15 +374,22 @@ def search(
 def is_semi_orthonormal_family(space: FormSpace, vectors) -> bool:
     """Pairing conditions plus linear independence, for any family length."""
     vectors = [tuple(v) for v in vectors]
-    pairings = all(space.pair(v, v) == 1 and not any(space.pair(v, u) for u in vectors[:i])
-                   for i, v in enumerate(vectors))
-    return pairings and len(rref(vectors, space.dimension, space.modulus)[1]) == len(vectors)
+    for i, vi in enumerate(vectors):
+        if space.pair(vi, vi) != 1:
+            return False
+        for j in range(i):
+            if space.pair(vi, vectors[j]) != 0:
+                return False
+    _, pivots = rref(vectors, space.dimension, space.modulus)
+    return len(pivots) == len(vectors)
 
 
 def verify_semi_orthonormal(space: FormSpace, basis) -> bool:
     """Independent check of a full basis: pairing conditions plus full rank."""
     basis = [tuple(v) for v in basis]
-    return len(basis) == space.dimension and is_semi_orthonormal_family(space, basis)
+    if len(basis) != space.dimension:
+        return False
+    return is_semi_orthonormal_family(space, basis)
 
 
 def mutate(basis, index: int, space: FormSpace):

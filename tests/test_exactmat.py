@@ -178,10 +178,11 @@ def test_rref_rank_and_nullspace_match_minor_oracle(p):
                          and all(sum(a * b for a, b in zip(w, v)) % p == 0 for w in rows)),
                         key=lambda v: vector_code(v, p),
                     )
-                    ones = [v for v in kernel
-                            if sum(v[i] * form[i][j] * v[j] for i in range(n) for j in range(n)) % p == 1]
-                    decoded = [tuple(sum(tk * b[j] for tk, b in zip(t, basis)) % p for j in range(n))
-                               for _, t in _roots(gram, p)] if basis else []
+                    ones = [v for v in kernel if sum(
+                        v[i] * form[i][j] * v[j] for i in range(n) for j in range(n)) % p == 1]
+                    decoded = [
+                        tuple(sum(tk * b[j] for tk, b in zip(t, basis)) % p for j in range(n))
+                        for _, t in _roots(gram, p)] if basis else []
                     assert decoded == ones
 
 

@@ -419,6 +419,25 @@ def test_found_search_at_the_cap_draws_few_candidates(monkeypatch):
     assert 20 <= len(pulled) <= 2 * 20
 
 
+def test_large_prime_search_solves_only_the_roots_it_reaches():
+    # within the cap p can be large (p^d <= 2^20): each walk solves the quadratic
+    # for digit 0 only at the prefixes it visits, by one scan of p values each,
+    # never for all p^2 coefficient pairs
+    p = 1048573
+    sonb._solve.cache_clear()
+    assert search(FormSpace(1, p, ((1,),))).basis == ((1,),)
+    assert enumerate_candidates(FormSpace(1, p, ((1,),))).vectors == ((1,), (p - 1,))
+    assert sonb._solve.cache_info().misses == 1
+    p = 1021
+    sonb._solve.cache_clear()
+    assert search(FormSpace(2, p, ((1, 0), (0, 1)))).basis == ((1, 0), (0, 1))
+    assert sonb._solve.cache_info().misses == 1  # both levels solve t^2 = 1
+    sonb._solve.cache_clear()
+    exhausted = search(FormSpace(2, p, ((378, 937), (618, 485))))
+    assert exhausted.exhausted and exhausted.stat("placements") == p - 1
+    assert sonb._solve.cache_info().misses <= 2 * p  # p prefixes, then one per placement
+
+
 def test_pairing_rejects_vectors_of_the_wrong_length():
     space = FormSpace(2, 2, ((1, 0), (0, 1)))
     assert verify_semi_orthonormal(space, [(1, 0), (0, 1)])

@@ -6,8 +6,14 @@ equality compares a canonical form; ``coeffs`` gives the rational values.
 Reduction uses one integral table per conductor, the rows x^k mod Phi_n
 (monic) for k < n: a wide vector is folded by taking indices mod n
 (zeta^n = 1), then adding each entry at k >= phi(n) through its row.
-Products are schoolbook integer products and a fold.  Division multiplies by
-the nontrivial Galois conjugates, whose product with the divisor is its norm.
+Products of two irrational elements are schoolbook integer products and a
+fold; a rational factor (an int, a Fraction or a rational element) only scales
+the numerators over the product denominator.  Division climbs a tower of
+prime-order Galois norms (``inverse``): the units mod n are built up by steps
+of prime order q, and each step multiplies the divisor by its q - 1 conjugates
+under the step's generator, so after the last step it is its norm, a rational.
+That takes sum(q) - 1 products where multiplying all the conjugates takes
+phi(n) - 1 (H. Cohen, A Course in Computational Algebraic Number Theory, 1993).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 from .intpoly import _common_denominator, _lowest_terms
 
@@ -22,6 +29,31 @@ from .intpoly import _common_denominator, _lowest_terms
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def _conductor(n) -> int:
+    """n as an int (``operator.index``: a float or a string raises TypeError), n > 0."""
+    n = index(n)
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    return n
+
+
+@lru_cache(maxsize=None)
+def _galois_tower(n: int) -> tuple[tuple[int, int], ...]:
+    """Steps (k, q) building up (Z/n)^*: k has prime order q modulo the subgroup
+    generated by the earlier steps, so the q's multiply to phi(n)."""
+    subgroup, steps = {1}, []
+    for k in range(2, n):
+        if gcd(k, n) == 1 and k not in subgroup:
+            order, power = 1, k
+            while power not in subgroup:
+                order, power = order + 1, power * k % n
+            q = next(q for q in range(2, order + 1) if order % q == 0)  # a prime
+            k = pow(k, order // q, n)
+            subgroup = {h * pow(k, j, n) % n for h in subgroup for j in range(q)}
+            steps.append((k, q))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +120,7 @@ class Cyclotomic:
     __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, coeffs):
-        n = int(n)
+        n = _conductor(n)
         num, den = _common_denominator(coeffs)
         _make(n, _fold(n, num), den, self)
 
@@ -131,6 +163,7 @@ class Cyclotomic:
 
     def lift_to(self, m: int) -> "Cyclotomic":
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n = zeta_m^(m/n); needs n | m."""
+        m = _conductor(m)
         if m % self.n:
             raise ValueError(f"{self.n} does not divide {m}")
         wide = [0] * m
@@ -170,12 +203,23 @@ class Cyclotomic:
     def __rsub__(self, other):
         return -(self - other)
 
+    def _scaled(self, a: int, b: int) -> "Cyclotomic":
+        """self * a / b for ints a and b != 0: no product and no fold."""
+        if b < 0:
+            a, b = -a, -b
+        return _make(self.n, [a * c for c in self._num], self._den * b)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # a rational factor goes in the outer loop, which skips zero terms
-        x, y = (self._num, o._num) if any(o._num[1:]) else (o._num, self._num)
+        if o.is_rational():
+            return self._scaled(o._num[0], o._den)
+        if self.is_rational():
+            return o._scaled(self._num[0], self._den)
+        x, y = self._num, o._num
         out = [0] * (2 * len(x) - 1)
         for i, a in enumerate(x):
             if a:
@@ -206,15 +250,31 @@ class Cyclotomic:
         return self.galois(self.n - 1)
 
     def inverse(self) -> "Cyclotomic":
+        """1 / self through the Galois tower of ``_galois_tower``.
+
+        At a step (k, q), z is fixed by the earlier steps; the product t of its
+        conjugates under k, k^2, ..., k^(q-1) is too, and z * t is also fixed
+        by k because k^q lies in the earlier subgroup.  So z * t replaces z,
+        t joins the cofactor, and after the last step z = self * cofactor is
+        rational.  That takes sum(q) - 1 products of two irrational elements
+        and sum(q - 1) Galois maps: 6 and 4 in Q(zeta_21), 4 and 3 in Q(zeta_7).
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        prod = Cyclotomic.one(self.n)
-        for k in range(2, self.n):
-            if gcd(k, self.n) == 1:
-                prod = prod * self.galois(k)
-        return prod * (1 / (self * prod).as_rational())
+        z, cofactor = self, Cyclotomic.one(self.n)
+        for k, q in _galois_tower(self.n):
+            conjugate = t = z.galois(k)
+            for _ in range(q - 2):
+                conjugate = conjugate.galois(k)
+                t = t * conjugate
+            z, cofactor = z * t, cofactor * t
+        return cofactor * (1 / z.as_rational())
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero in cyclotomic field")
+            return self._scaled(other.denominator, other.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -263,4 +323,5 @@ class Cyclotomic:
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in reduced power-basis form (k taken mod n)."""
+    n = _conductor(n)
     return _make(n, _fold(n, [0] * (k % n) + [1]), 1)

@@ -171,9 +171,12 @@ def _random_input(rng, n):
 
 def test_arithmetic_against_independent_oracle():
     rng = random.Random(2024)
-    for n in (1, 3, 7, 21):
+    # the added conductors have cyclic and non-cyclic unit groups and Galois
+    # tower steps of order 2, 3 and 5 (n = 11); few draws keep the oracle quick
+    added = [(n, 6) for n in (2, 4, 5, 8, 9, 11, 12, 15, 16, 20, 24)]
+    for n, draws in [(1, 25), (3, 25), (7, 25), (21, 12), *added]:
         ks = [k for k in range(1, max(n, 2)) if gcd(k, n) == 1]
-        for _ in range(12 if n == 21 else 25):
+        for _ in range(draws):
             (xr, xv), (yr, yv) = _random_input(rng, n), _random_input(rng, n)
             x, y = Cyclotomic(n, xr), Cyclotomic(n, yr)
             xo, yo = cyc_reduce(xv, n), cyc_reduce(yv, n)
@@ -220,3 +223,90 @@ def test_float_coefficient_is_rejected():
         Cyclotomic(7, [0.1])
     with pytest.raises(TypeError, match="exact rational"):
         Cyclotomic.rational(21, 0.5)
+
+
+def test_conductor_must_be_a_positive_integer():
+    with pytest.raises(TypeError):
+        Cyclotomic(7.9, [1, 2])
+    with pytest.raises(TypeError):
+        Cyclotomic("7", [1])
+    with pytest.raises(TypeError):
+        root_of_unity(7.0, 1)
+    for bad in (0, -7):
+        with pytest.raises(ValueError, match="conductor must be positive"):
+            Cyclotomic(bad, [1])
+        with pytest.raises(ValueError, match="conductor must be positive"):
+            root_of_unity(bad, 1)
+        with pytest.raises(ValueError, match="conductor must be positive"):
+            Cyclotomic(7, [1]).lift_to(bad)
+    with pytest.raises(TypeError):
+        Cyclotomic(7, [1]).lift_to(21.0)
+
+
+def _count_tower_work(monkeypatch, x):
+    """(products of two irrational elements, Galois maps) made by x.inverse()."""
+    counts = {"mul": 0, "galois": 0}
+    mul, galois = Cyclotomic.__mul__, Cyclotomic.galois
+
+    def counting_mul(a, b):
+        if isinstance(b, Cyclotomic) and not a.is_rational() and not b.is_rational():
+            counts["mul"] += 1
+        return mul(a, b)
+
+    def counting_galois(a, k):
+        counts["galois"] += 1
+        return galois(a, k)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counting_mul)
+    monkeypatch.setattr(Cyclotomic, "galois", counting_galois)
+    inverse = x.inverse()
+    monkeypatch.undo()
+    assert inverse * x == 1
+    return counts["mul"], counts["galois"]
+
+
+def test_inverse_climbs_a_galois_tower(monkeypatch):
+    # the product of all phi(n) - 1 conjugates takes 11 and 11 in Q(zeta_21)
+    rng = random.Random(18)
+    for n, products, maps in ((21, 6, 4), (7, 4, 3)):
+        for _ in range(3):
+            x = rand_elt(rng, n, allow_zero=False)
+            if not x.is_rational():
+                used = _count_tower_work(monkeypatch, x)
+                assert used[0] <= products and used[1] <= maps, (n, used)
+
+
+def test_rational_factors_scale_like_the_oracle():
+    rng = random.Random(31)
+    for n in (1, 7, 21):
+        for _ in range(6):
+            x = rand_elt(rng, n)
+            xo = x.coeffs
+            k = rng.randrange(-9, 10)
+            f = Fraction(rng.randrange(1, 9), -rng.randrange(2, 9))
+            r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+            for factor, value in ((k, k), (f, f), (0, 0), (Cyclotomic.rational(n, r), r)):
+                for product in (x * factor, factor * x):
+                    assert type(product) is Cyclotomic
+                    assert product.coeffs == cyc_mul(xo, (value,), n)
+                    assert product._den > 0 and gcd(product._den, *product._num) == 1
+            for divisor in (rng.choice((-3, 2, 5)), Fraction(-4, 3)):
+                quotient = x / divisor
+                assert quotient.coeffs == cyc_mul(xo, (1 / Fraction(divisor),), n)
+                assert quotient._den > 0 and gcd(quotient._den, *quotient._num) == 1
+            for zero in (0, Fraction(0), Cyclotomic.zero(n)):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+            with pytest.raises(TypeError):
+                x * 0.5
+            with pytest.raises(TypeError):
+                0.5 * x
+            with pytest.raises(TypeError):
+                x / 2.0
+            other = 3 if n == 1 else 1
+            for mixed in (Cyclotomic.rational(other, 2), root_of_unity(other, 1)):
+                with pytest.raises(ValueError, match="conductor mismatch"):
+                    x * mixed
+                with pytest.raises(ValueError, match="conductor mismatch"):
+                    mixed * x

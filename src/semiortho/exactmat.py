@@ -5,9 +5,10 @@ determinant in either field is Bareiss elimination (fraction-free, exact
 over Z, its entries bounded by minors) run on the stored numerators: taken
 mod p, or divided by D^n over Q.  ``rref`` is the single Gauss-Jordan
 reduction, over F_p (p prime) or Q (p = 0); ranks and inverses are read off
-its output (``sonb.search`` cuts its constraint kernels and their Gram
-matrices one constraint at a time with ``sonb._restrict`` instead).  No
-floating point anywhere: a float entry raises.
+its output (``sonb.search`` cuts the Gram matrices of its constraint kernels
+one constraint at a time with ``sonb._cut``, and the kernels of the found
+path with ``sonb._restrict``, instead).  No floating point anywhere: a float
+entry raises.
 """
 
 from __future__ import annotations

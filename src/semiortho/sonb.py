@@ -18,27 +18,34 @@ one gate (``_symmetry_action``) checks for ``search`` and ``serre_orbits``
 before any walk: any basis can be translated to one starting at a
 representative, and the first basis is the plain search's.
 
-Kernel.  Each node carries W_k = {y : (y, v) = 0 for every placed v} as its
-reduced basis B (one vector per free column, 1 there and 0 at the other free
-columns) and its Gram matrix G = B A B^t, both cut by one elimination step
-per placement (``_restrict``).  Its candidates x = t B, the roots of
-t^t G t = 1, come from ``_roots``, the lazy walk that ``enumerate_candidates``
-runs to the end; B is reduced, so increasing t is increasing code order of x.
+Kernel.  Below e_1, ..., e_k lies W_k = {y : (y, v) = 0 for every placed v},
+with its reduced basis B (one vector per free column, 1 there and 0 at the
+other free columns) and its Gram matrix G = B A B^t.  A node carries G alone,
+as a tuple of rows.  Its candidates x = t B, the roots of t^t G t = 1, come
+from ``_roots``, the lazy walk that ``enumerate_candidates`` runs to the end;
+B is reduced, so increasing t is increasing code order of x.  Placing x cuts
+W_k by the constraint (y, x) = 0, whose coefficients on B are G t, and the
+child's Gram matrix follows from G and t alone (``_cut``; in closed form
+from a 2 x 2 G, ``_cut_last``).  So G fixes the whole subtree below a node:
+its candidates, their order and codes t, and every child's G.  The walk
+returns the digit vectors t of the path it found, and ``search`` replays
+only them through ``_restrict``, which also cuts B, to decode the basis.
 A vector of W_k with (x, x) = 1 is never in the span of the placed v_k:
 x = sum c_k v_k would give (x, x) = sum c_k (x, v_k) = 0.  So there is no
 dependence test, and the ``dependent_rejections`` stat is 0 by construction.
 
-Memo.  Each call keeps a table of failed states.  A state is the kernel
-W_k, keyed by its reduced basis (canonical for W_k).  W_k alone fixes the
-subtree below it: the next level walks W_k and cuts each child from it, and
-dim W_k = d - k is the depth.  Every ordering of the same chosen vectors
-(and, for singular A, spans that differ by a vector n with A n = 0) reaches
-one kernel, and a revisited state that already failed is not walked again.
-Only failed states are pruned, so the first basis in canonical order is
-unchanged.  The counters describe the full canonical proof tree: a memo hit
-credits the placements and rejections its subtree made when first walked,
-so ``placements`` equals the node count of the unpruned walk
-(``tests/oracles.brute_force_sonb``); ``memo_hits`` counts the reuses.
+Memo.  Each call keeps a table of failed states.  A state is the Gram
+matrix G of a kernel; m = dim W_k = d - k, its size, is the depth.  Since B
+fixes G, this is coarser than keying by the kernel: every ordering of the
+same chosen vectors, spans that differ by a vector n with A n = 0 (singular
+A), and distinct kernels with equal Gram matrices all share one entry, and
+a revisited state that already failed is not walked again.  Only failed
+states are pruned, so the first basis in canonical order is unchanged.  The
+counters describe the full canonical proof tree: a memo hit credits the
+placements and rejections its subtree made when first walked, so
+``placements`` equals the node count of the unpruned walk
+(``tests/oracles.brute_force_sonb``).  ``memo_hits`` counts the reuses of a
+failed Gram matrix, each at the node where it was met again.
 
 Integer spaces (modulus 0) support verification of supplied bases and
 mutation, not open-ended search.
@@ -252,7 +259,8 @@ def pairing_matrix(space: FormSpace, vectors) -> tuple[tuple[int, ...], ...]:
 class SearchResult:
     """The first basis (None when Exhausted) and the proof tree's counts: placements,
     pairing_rejections (derived, see ``search``), dependent_rejections (0 by construction,
-    as the carried kernel holds no dependent feasible vector) and memo_hits."""
+    as the constraint kernel holds no dependent feasible vector) and memo_hits, the
+    reuses of a failed kernel Gram matrix.  All four depend on the input alone."""
 
     basis: tuple[tuple[int, ...], ...] | None
     nodes_explored: int
@@ -270,30 +278,53 @@ class SearchResult:
         return dict(self.stats)[key]
 
 
-def _restrict(kernel, gram, c, p: int):
-    """Cut span(kernel) by sum y_j c_j = 0 mod p: its reduced basis and R gram R^t.
+def _cut(gram, c, p: int):
+    """For a kernel with Gram matrix gram, the Gram matrix R gram R^t of its cut
+    by sum y_j c_j = 0 mod p (c != 0 mod p), as a tuple of rows.
 
     The first i with c_i != 0 mod p is the pivot; R maps row j != i to row j
-    - (c_j / c_i) row i, which keeps a reduced basis reduced.  Cutting the
-    unit basis by each row w of a matrix (c_j = kernel[j] . w) gives the
-    reduced nullspace basis."""
+    - r_j row i, r = c / c_i, which keeps a reduced basis reduced.  So entry
+    (j, l) of the cut is g_jl - r_j g_il - r_l (g_ji - r_j g_ii), j, l != i."""
+    i = next(j for j, cj in enumerate(c) if cj % p)
+    inv = pow(c[i], -1, p)
+    r = [cj * inv % p for cj in c]
+    del r[i]
+    gi = gram[i]
+    gii, gi = gi[i], gi[:i] + gi[i + 1:]
+    cut = []
+    for h, rj in zip(gram[:i] + gram[i + 1:], r):
+        u = h[i] - rj * gii
+        cut.append(tuple([(x - rj * y - z * u) % p for x, y, z in zip(h[:i] + h[i + 1:], gi, r)]))
+    return tuple(cut)
+
+
+def _cut_last(gram, digits, p: int):
+    """``_cut`` of a 2 x 2 gram ((a, b), (c, e)) by gram t for a root t, in closed
+    form: with c_0 = a t_0 + b t_1 and c_1 = c t_0 + e t_1, the line left
+    pairs with itself to g = a k^2 - (b + c) k + e, k = c_1 / c_0, or to g = a
+    when c_0 = 0 (then c_1 != 0, as t_0 c_0 + t_1 c_1 = 1)."""
+    (a, b), (c, e) = gram
+    t0, t1 = digits
+    if c0 := (a * t0 + b * t1) % p:
+        k = (c * t0 + e * t1) * pow(c0, -1, p) % p
+        return ((((a * k - b - c) * k + e) % p,),)
+    return ((a,),)
+
+
+def _restrict(kernel, gram, c, p: int):
+    """Cut span(kernel) by sum y_j c_j = 0 mod p: its reduced basis and ``_cut``'s
+    R gram R^t, with R as there.  Cutting the unit basis by each row w of a
+    matrix (c_j = kernel[j] . w) gives the reduced nullspace basis."""
     i = next((j for j, cj in enumerate(c) if cj % p), None)
     if i is None:
         return kernel, gram
     inv = pow(c[i], -1, p)
-    r = [cj * inv % p for cj in c]
-    pivot, gi = kernel[i], gram[i]
-    basis, cut = [], []
-    for j, (b, h, rj) in enumerate(zip(kernel, gram, r)):
-        if j != i:
-            if rj:
-                b = tuple([(x - rj * y) % p for x, y in zip(b, pivot)])
-                h = [(x - rj * y) % p for x, y in zip(h, gi)]
-            if hi := h[i]:
-                h = [(x - hi * y) % p for x, y in zip(h, r)]
-            basis.append(b)
-            cut.append(h[:i] + h[i + 1:])
-    return tuple(basis), cut
+    pivot = kernel[i]
+    basis = tuple(
+        tuple([(x - rj * y) % p for x, y in zip(b, pivot)]) if rj else b
+        for j, (b, rj) in enumerate(zip(kernel, (cj * inv % p for cj in c))) if j != i
+    )
+    return basis, _cut(gram, c, p)
 
 
 def search(
@@ -308,15 +339,18 @@ def search(
     symmetry must be an invertible isometry of the form (S^t A S = A mod p);
     it is checked once, before the first placement, and anything else raises.
 
-    Each level draws its candidates from ``_roots`` over the Gram matrix of
-    the carried constraint kernel, where a feasible vector is never
-    dependent, so ``dependent_rejections`` is 0 by construction.  The
-    ``pairing_rejections`` of a level of dimension m are derived: t - 1 - i
-    when it returns candidate i, of code t; p^m - 1 minus its candidates
-    when it fails; none at a symmetric root.
+    The walk carries only the Gram matrix G of each node's constraint kernel
+    and draws its candidates from ``_roots`` over G, where a feasible vector
+    is never dependent, so ``dependent_rejections`` is 0 by construction.
+    It returns the digit vectors of the path it found, and only that path is
+    replayed through ``_restrict`` to decode the basis: d cuts of a d-wide
+    basis on Found, none on Exhausted.  The ``pairing_rejections`` of a
+    level of dimension m are derived: t - 1 - i when it returns candidate i,
+    of code t; p^m - 1 minus its candidates when it fails; none at a
+    symmetric root.
 
-    Failed subtrees are memoized by their constraint kernel and not walked
-    twice; the stats still count the full proof tree, crediting each of the
+    Failed subtrees are memoized by their Gram matrix and not walked twice;
+    the stats still count the full proof tree, crediting each of the
     ``memo_hits`` reused subtrees with its counts.
     """
     p = space.modulus
@@ -335,37 +369,49 @@ def search(
             return image == code
 
     nodes = pairing_rejections = memo_hits = 0
-    # reduced basis of a kernel -> counts of its failed subtree
+    # Gram matrix of a kernel -> counts of its failed subtree
     failed: dict[tuple, tuple[int, int]] = {}
 
-    def dfs(kernel, gram) -> tuple[tuple[int, ...], ...] | None:
-        # the rest of a basis in span(kernel), the constraint kernel; gram = kernel A kernel^t
+    def dfs(gram) -> tuple[tuple[int, ...], ...] | None:
+        # the digits, over each level's kernel, of the rest of a basis in the
+        # constraint kernel whose Gram matrix is gram
         nonlocal nodes, pairing_rejections, memo_hits
-        if not kernel:
+        m = len(gram)
+        if not m:
             return ()
-        if kernel in failed:
+        if gram in failed:
             memo_hits += 1
-            dn, dpair = failed[kernel]
+            dn, dpair = failed[gram]
             nodes += dn
             pairing_rejections += dpair
             return None
-        first_slot = representative if len(kernel) == d else None
+        first_slot = representative if m == d else None
         before, i = (nodes, pairing_rejections), -1
         for i, (t, digits) in enumerate(_roots(gram, p)):
             if first_slot and not first_slot(t):  # t is x's code at the root
                 continue
             nodes += 1
-            # c_j = (kernel[j], x) for x = t . kernel
-            rest = dfs(*_restrict(kernel, gram, [sum(map(mul, row, digits)) for row in gram], p))
+            if m == 2:
+                rest = dfs(_cut_last(gram, digits, p))
+            else:  # c_j = (kernel[j], x) for x = t . kernel
+                rest = dfs(_cut(gram, [sum(map(mul, row, digits)) for row in gram], p))
             if rest is not None:
                 pairing_rejections += 0 if first_slot else t - 1 - i
-                return (tuple(sum(map(mul, col, digits)) % p for col in zip(*kernel)), *rest)
-        pairing_rejections += 0 if first_slot else p ** len(kernel) - 2 - i
-        failed[kernel] = (nodes - before[0], pairing_rejections - before[1])
+                return (digits, *rest)
+        pairing_rejections += 0 if first_slot else p ** m - 2 - i
+        failed[gram] = (nodes - before[0], pairing_rejections - before[1])
         return None
 
-    basis = dfs(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), space.form)
+    path = dfs(tuple(map(tuple, space.form)))
     del dfs  # it refers to itself: free the memo now, not at a later cyclic collection
+    basis = None
+    if path is not None:  # decode the path: x = t . kernel, then cut the kernel by x
+        kernel = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        gram, vectors = space.form, []
+        for digits in path:
+            vectors.append(tuple(sum(map(mul, col, digits)) % p for col in zip(*kernel)))
+            kernel, gram = _restrict(kernel, gram, [sum(map(mul, row, digits)) for row in gram], p)
+        basis = tuple(vectors)
     stats = (("placements", nodes), ("pairing_rejections", pairing_rejections),
              ("dependent_rejections", 0), ("memo_hits", memo_hits))
     return SearchResult(basis, nodes, stats)

@@ -275,7 +275,7 @@ def orbit_sizes_by_moebius(form, rows, p, dimension):
     return sorted(sizes)
 
 
-def first_slot_reference(form, p, dimension, first_slot, key_by_span=False):
+def first_slot_reference(form, p, dimension, first_slot, key_by_span=False, key_by_gram=False):
     """The proof tree of a search whose first vector ranges over first_slot.
 
     Later slots range over every nonzero vector in code order with
@@ -285,7 +285,9 @@ def first_slot_reference(form, p, dimension, first_slot, key_by_span=False):
     the revisit is a memo hit and is credited with that subtree's counts.
     The state is the set of nonzero vectors orthogonal to every placed
     vector, or with key_by_span the span of the placed vectors (each as the
-    set of its vectors).
+    set of its vectors).  With key_by_gram it is the Gram matrix of the first
+    set's span over the ``_kernel`` basis of the rows A x for the placed x,
+    since y . A x = (y, x).
 
     Returns (basis-or-None, placements, pairing_rejections,
     dependent_rejections, memo_hits).
@@ -310,7 +312,12 @@ def first_slot_reference(form, p, dimension, first_slot, key_by_span=False):
             return tuple(chosen)
         orthogonal = [x for x in everything if all(pair(x, e) == 0 for e in chosen)]
         spanned = span(chosen)
-        key = spanned if key_by_span else frozenset(orthogonal)
+        if key_by_gram:
+            rows = [[sum(a * b for a, b in zip(row, x)) for row in form] for x in chosen]
+            basis = _kernel(rows, p, d)
+            key = tuple(tuple(pair(u, v) for v in basis) for u in basis)
+        else:
+            key = spanned if key_by_span else frozenset(orthogonal)
         if key in failed:
             counts[3] += 1
             for k, n in enumerate(failed[key]):

@@ -310,3 +310,43 @@ def test_rational_factors_scale_like_the_oracle():
                     x * mixed
                 with pytest.raises(ValueError, match="conductor mismatch"):
                     mixed * x
+
+
+def test_rational_terms_add_like_the_oracle(monkeypatch):
+    # an int or Fraction term, on either side, moves only the constant
+    # numerator over the common denominator: no coercion to an element
+    rng = random.Random(19)
+    cases = []
+    for n in (1, 7, 21):
+        for _ in range(6):
+            x = rand_elt(rng, n) / rng.choice((1, 3, 4))
+            cases.append((x, (0, rng.randrange(-9, 10), Fraction(0, -5),
+                              Fraction(rng.randrange(-9, 10), -rng.randrange(2, 9)))))
+
+    def refuse(self, other):
+        raise AssertionError("a rational term was coerced")
+
+    monkeypatch.setattr(Cyclotomic, "_coerce", refuse)
+    for x, values in cases:
+        xo, n = x.coeffs, x.n
+        for value in values:
+            plus = cyc_reduce([xo[0] + value, *xo[1:]], n)
+            minus = cyc_reduce([xo[0] - value, *xo[1:]], n)
+            for result, expected in ((x + value, plus), (value + x, plus), (x - value, minus),
+                                     (value - x, tuple(-c for c in minus))):
+                assert type(result) is Cyclotomic
+                assert result.coeffs == expected
+                assert result._den > 0 and gcd(result._den, *result._num) == 1
+    monkeypatch.undo()
+    for x, values in cases[::2]:  # a rational over an element scales its inverse
+        if not x.is_zero():
+            inverse = cyc_inverse(x.coeffs, x.n)
+            for value in values:
+                quotient = value / x
+                assert quotient.coeffs == cyc_mul(inverse, (value,), x.n)
+                assert quotient._den > 0 and gcd(quotient._den, *quotient._num) == 1
+    x = cases[-1][0]
+    for call in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5, lambda: 0.5 - x,
+                 lambda: 0.5 / x):
+        with pytest.raises(TypeError):
+            call()

@@ -1,6 +1,8 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 
@@ -52,6 +54,12 @@ def wilson_space():
 def pn_space(n, p):
     gram = reduce_mod(gram_from_twists(projective_space(n), range(n + 1)), p)
     return FormSpace.from_gram(gram)
+
+
+def criterion_4_slowest():
+    rng = random.Random(1003)  # the slowest form of acceptance criterion 4
+    d = rng.randrange(2, 6)
+    return FormSpace(d, 3, tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d)))
 
 
 def standard_basis(d):
@@ -165,7 +173,8 @@ def _check_orbits_against_union_find(space, operator, rows):
 def _check_first_slot_against_reference(space, operator, rows):
     """search(symmetry=operator) walks the proof tree of a search whose first
     slot is the sorted union-find orbit representatives of the oracle's
-    candidates: same basis, same four stats."""
+    candidates: same basis and counts as the walk keyed by kernel sets, and
+    all four stats (memo hits too) of the walk keyed by Gram matrices."""
     p, d = space.modulus, space.dimension
     cands = brute_force_candidates(space.form, p, d)
     reps = sorted(
@@ -173,9 +182,11 @@ def _check_first_slot_against_reference(space, operator, rows):
         key=lambda v: vector_code(v, p),
     )
     basis, *counts = first_slot_reference(space.form, p, d, reps)
+    _, *by_gram = first_slot_reference(space.form, p, d, reps, key_by_gram=True)
     result = search(space, symmetry=operator)
     assert result.basis == basis
-    assert tuple(v for _, v in result.stats) == tuple(counts)
+    assert tuple(v for _, v in result.stats)[:3] == tuple(counts[:3])
+    assert tuple(v for _, v in result.stats) == tuple(by_gram)
     assert result.nodes_explored == counts[0]
     return result.found
 
@@ -332,11 +343,13 @@ def test_wilson_mod_7_agrees_with_oracle():
 def test_random_forms_agree_with_oracle_smoke():
     # The memoized search must credit every reused subtree: its node count
     # equals the unpruned oracle's on Found and Exhausted forms alike, and
-    # all four stats (memo hits, and no dependent rejection) equal those of
+    # its placements and rejections (no dependent rejection) equal those of
     # the kernel-set reference walk over every nonzero vector, singular
-    # forms included.  On an invertible form the kernel fixes the span, so
-    # keying that walk by span-sets gives the same memo hits.  p = 5 stops
-    # at d = 3 because the oracle needs seconds per d = 4 form.
+    # forms included.  All four stats, memo hits too, equal those of the
+    # same walk keyed by the kernel's Gram matrix.  On an invertible form
+    # the kernel fixes the span, so keying the walk by span-sets gives the
+    # kernel-set memo hits.  p = 5 stops at d = 3 because the oracle needs
+    # seconds per d = 4 form.
     rng = random.Random(2024)
     for p, max_d in ((2, 4), (3, 4), (5, 3)):
         outcomes = set()
@@ -349,7 +362,9 @@ def test_random_forms_agree_with_oracle_smoke():
             assert result.basis == oracle_basis
             assert result.nodes_explored == oracle_nodes
             _, *counts = first_slot_reference(rows, p, d, _vectors(p, d))
-            assert tuple(v for _, v in result.stats) == tuple(counts)
+            _, *by_gram = first_slot_reference(rows, p, d, _vectors(p, d), key_by_gram=True)
+            assert tuple(v for _, v in result.stats)[:3] == tuple(counts[:3])
+            assert tuple(v for _, v in result.stats) == tuple(by_gram)
             if ExactMatrix(rows, p).determinant():
                 _, *by_span = first_slot_reference(rows, p, d, _vectors(p, d), key_by_span=True)
                 assert by_span == counts
@@ -362,17 +377,17 @@ def test_random_forms_agree_with_oracle_smoke():
 def test_fixed_instance_search_stats():
     space, op = wilson_space()
     flipped = FormSpace(5, 2, tuple(zip(*space.form)))
-    rng = random.Random(1003)  # the slowest form of acceptance criterion 4
-    d = rng.randrange(2, 6)
-    slowest = FormSpace(d, 3, tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d)))
+    slowest = criterion_4_slowest()
     # p = 2, A = diag(0, 0, 1): the four candidates (a, b, 1) span four
-    # lines with one kernel {y : y_2 = 0}, so three of them are memo hits
+    # lines with one kernel {y : y_2 = 0}, so three of them are memo hits.
+    # The memo is keyed by the kernel's Gram matrix, so kernels with equal
+    # Gram matrices share one entry.
     singular = FormSpace(3, 2, ((0, 0, 0), (0, 0, 0), (0, 0, 1)))
     expected = (
-        (search(space), (204, 839, 0, 78)),
-        (search(flipped), (204, 839, 0, 78)),
-        (search(space, symmetry=op), (32, 130, 0, 12)),
-        (search(slowest), (11412, 114470, 0, 1521)),
+        (search(space), (204, 839, 0, 65)),
+        (search(flipped), (204, 839, 0, 65)),
+        (search(space, symmetry=op), (32, 130, 0, 16)),
+        (search(slowest), (11412, 114470, 0, 1581)),
         (search(singular), (4, 15, 0, 3)),
     )
     for result, counts in expected:
@@ -388,9 +403,7 @@ def test_search_makes_no_pairing_call(monkeypatch):
     # the candidates of every level come from the walker over the kernel's
     # Gram matrix, never from FormSpace.pair
     space, op = wilson_space()
-    rng = random.Random(1003)  # the slowest form of acceptance criterion 4
-    d = rng.randrange(2, 6)
-    slowest = FormSpace(d, 3, tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d)))
+    slowest = criterion_4_slowest()
     calls = [lambda: search(space), lambda: search(space, symmetry=op), lambda: search(slowest)]
     before = [call() for call in calls]
 
@@ -644,3 +657,48 @@ def test_search_stats_present():
     result = search(pn_space(1, 3))
     keys = dict(result.stats)
     assert "placements" in keys and keys["placements"] == result.nodes_explored
+
+
+def test_last_cut_in_closed_form_matches_the_generic_cut():
+    # every 2 x 2 Gram matrix over F_2, F_3 and F_5 and every root t of it
+    for p in (2, 3, 5):
+        for entries in product(range(p), repeat=4):
+            gram = (entries[:2], entries[2:])
+            for _, digits in sonb._roots(gram, p):
+                c = [sum(map(mul, row, digits)) for row in gram]
+                assert sonb._cut_last(gram, digits, p) == sonb._cut(gram, c, p)
+
+
+def test_basis_is_decoded_along_the_found_path_only(monkeypatch):
+    # the walk carries Gram matrices alone; only the found path is replayed
+    # through _restrict, once per basis vector, and an Exhausted search never is
+    restrict, calls = sonb._restrict, []
+
+    def counting(*args):
+        calls.append(args)
+        return restrict(*args)
+
+    monkeypatch.setattr(sonb, "_restrict", counting)
+    wilson, _ = wilson_space()
+    wilson_7 = FormSpace.from_gram(reduce_mod(gram_from_twists(wilson_fourfold(), range(5)), 7))
+    for space, found in ((pn_space(8, 3), True), (wilson_7, True), (wilson, False),
+                         (criterion_4_slowest(), False)):
+        calls.clear()
+        result = search(space)
+        assert result.found == found
+        assert len(calls) == (space.dimension if found else 0)
+        if found:
+            assert verify_semi_orthonormal(space, result.basis)
+
+
+def test_search_stats_depend_on_the_input_only():
+    # nothing cached across calls changes a later call's basis or counts
+    wilson, op = wilson_space()
+    for space, symmetry in ((wilson, None), (wilson, op), (criterion_4_slowest(), None),
+                            (pn_space(4, 3), None)):
+        first = search(space, symmetry=symmetry)
+        again = search(space, symmetry=symmetry)
+        sonb._solve.cache_clear()
+        cold = search(space, symmetry=symmetry)
+        for result in (again, cold):
+            assert (result.basis, result.stats) == (first.basis, first.stats)

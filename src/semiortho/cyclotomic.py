@@ -8,14 +8,12 @@ Reduction uses one integral table per conductor, the rows x^k mod Phi_n
 (zeta^n = 1), then adding each entry at k >= phi(n) through its row.
 Products of two irrational elements are schoolbook integer products and a
 fold; a rational factor (an int, a Fraction or a rational element) only scales
-the numerators over the product denominator, and an int or Fraction term only
-moves the constant numerator over the common denominator.  Division climbs a
-tower of prime-order Galois norms (``inverse``): the units mod n are built up
-by steps of prime order q, and each step multiplies the divisor by its q - 1
-conjugates under the step's generator, so after the last step it is its norm,
-a rational.  That takes sum(q) - 1 products where multiplying all the
-conjugates takes phi(n) - 1 (H. Cohen, A Course in Computational Algebraic
-Number Theory, 1993).
+the numerators over the product denominator.  Division climbs a tower of
+prime-order Galois norms (``inverse``): the units mod n are built up by steps
+of prime order q, and each step multiplies the divisor by its q - 1 conjugates
+under the step's generator, so after the last step it is its norm, a rational.
+That takes sum(q) - 1 products where multiplying all the conjugates takes
+phi(n) - 1 (H. Cohen, A Course in Computational Algebraic Number Theory, 1993).
 """
 
 from __future__ import annotations
@@ -183,17 +181,7 @@ class Cyclotomic:
 
     # -- ring operations ----------------------------------------------------
 
-    def _shifted(self, a: int, b: int) -> "Cyclotomic":
-        """self + a / b for ints a and b > 0: only the constant numerator moves."""
-        den = lcm(self._den, b)
-        scale = den // self._den
-        num = [scale * c for c in self._num]
-        num[0] += a * (den // b)
-        return _make(self.n, num, den)
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._shifted(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -207,8 +195,6 @@ class Cyclotomic:
         return _make(self.n, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._shifted(-other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -295,8 +281,6 @@ class Cyclotomic:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse()._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

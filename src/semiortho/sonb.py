@@ -28,8 +28,8 @@ W_k by the constraint (y, x) = 0, whose coefficients on B are G t, and the
 child's Gram matrix follows from G and t alone (``_cut``; in closed form
 from a 2 x 2 G, ``_cut_last``).  So G fixes the whole subtree below a node:
 its candidates, their order and codes t, and every child's G.  The walk
-returns the digit vectors t of the path it found, and ``search`` replays
-only them through ``_restrict``, which also cuts B, to decode the basis.
+returns G and t for each level of the path it found, and ``search`` replays
+only them, cutting B by G t with ``_restrict``, to decode the basis.
 A vector of W_k with (x, x) = 1 is never in the span of the placed v_k:
 x = sum c_k v_k would give (x, x) = sum c_k (x, v_k) = 0.  So there is no
 dependence test, and the ``dependent_rejections`` stat is 0 by construction.
@@ -280,21 +280,26 @@ class SearchResult:
 
 def _cut(gram, c, p: int):
     """For a kernel with Gram matrix gram, the Gram matrix R gram R^t of its cut
-    by sum y_j c_j = 0 mod p (c != 0 mod p), as a tuple of rows.
+    by sum y_j c_j = 0 mod p, as a tuple of rows (gram itself when c = 0 mod p).
 
     The first i with c_i != 0 mod p is the pivot; R maps row j != i to row j
-    - r_j row i, r = c / c_i, which keeps a reduced basis reduced.  So entry
-    (j, l) of the cut is g_jl - r_j g_il - r_l (g_ji - r_j g_ii), j, l != i."""
-    i = next(j for j, cj in enumerate(c) if cj % p)
+    - r_j row i, r = c / c_i, which keeps a reduced basis reduced.  Row j of
+    R gram is h = g_j - r_j g_i, and its row of the cut is h - h_i r without
+    entry i; a zero r_j or h_i skips its pass."""
+    i = next((j for j, cj in enumerate(c) if cj % p), None)
+    if i is None:
+        return gram
     inv = pow(c[i], -1, p)
     r = [cj * inv % p for cj in c]
-    del r[i]
     gi = gram[i]
-    gii, gi = gi[i], gi[:i] + gi[i + 1:]
     cut = []
-    for h, rj in zip(gram[:i] + gram[i + 1:], r):
-        u = h[i] - rj * gii
-        cut.append(tuple([(x - rj * y - z * u) % p for x, y, z in zip(h[:i] + h[i + 1:], gi, r)]))
+    for j, (h, rj) in enumerate(zip(gram, r)):
+        if j != i:
+            if rj:
+                h = [(x - rj * y) % p for x, y in zip(h, gi)]
+            if hi := h[i]:
+                h = [(x - hi * y) % p for x, y in zip(h, r)]
+            cut.append(tuple(h[:i] + h[i + 1:]))
     return tuple(cut)
 
 
@@ -311,20 +316,21 @@ def _cut_last(gram, digits, p: int):
     return ((a,),)
 
 
-def _restrict(kernel, gram, c, p: int):
-    """Cut span(kernel) by sum y_j c_j = 0 mod p: its reduced basis and ``_cut``'s
-    R gram R^t, with R as there.  Cutting the unit basis by each row w of a
-    matrix (c_j = kernel[j] . w) gives the reduced nullspace basis."""
+def _restrict(kernel, c, p: int):
+    """Cut span(kernel) by sum y_j c_j = 0 mod p: its reduced basis R kernel,
+    with R as in ``_cut``.  Cutting the unit basis by each row w of a matrix
+    (c_j = kernel[j] . w) gives the reduced nullspace basis."""
     i = next((j for j, cj in enumerate(c) if cj % p), None)
     if i is None:
-        return kernel, gram
+        return kernel
     inv = pow(c[i], -1, p)
-    pivot = kernel[i]
-    basis = tuple(
-        tuple([(x - rj * y) % p for x, y in zip(b, pivot)]) if rj else b
-        for j, (b, rj) in enumerate(zip(kernel, (cj * inv % p for cj in c))) if j != i
-    )
-    return basis, _cut(gram, c, p)
+    pivot, basis = kernel[i], []
+    for j, (b, cj) in enumerate(zip(kernel, c)):
+        if j != i:
+            if rj := cj * inv % p:
+                b = tuple([(x - rj * y) % p for x, y in zip(b, pivot)])
+            basis.append(b)
+    return tuple(basis)
 
 
 def search(
@@ -342,12 +348,12 @@ def search(
     The walk carries only the Gram matrix G of each node's constraint kernel
     and draws its candidates from ``_roots`` over G, where a feasible vector
     is never dependent, so ``dependent_rejections`` is 0 by construction.
-    It returns the digit vectors of the path it found, and only that path is
-    replayed through ``_restrict`` to decode the basis: d cuts of a d-wide
-    basis on Found, none on Exhausted.  The ``pairing_rejections`` of a
-    level of dimension m are derived: t - 1 - i when it returns candidate i,
-    of code t; p^m - 1 minus its candidates when it fails; none at a
-    symmetric root.
+    It returns each level's Gram matrix and digits along the path it found,
+    and only that path is replayed through ``_restrict`` to decode the basis:
+    d cuts of a d-wide basis on Found, none on Exhausted.  The
+    ``pairing_rejections`` of a level of dimension m are derived: t - 1 - i
+    when it returns candidate i, of code t; p^m - 1 minus its candidates when
+    it fails; none at a symmetric root.
 
     Failed subtrees are memoized by their Gram matrix and not walked twice;
     the stats still count the full proof tree, crediting each of the
@@ -372,8 +378,8 @@ def search(
     # Gram matrix of a kernel -> counts of its failed subtree
     failed: dict[tuple, tuple[int, int]] = {}
 
-    def dfs(gram) -> tuple[tuple[int, ...], ...] | None:
-        # the digits, over each level's kernel, of the rest of a basis in the
+    def dfs(gram) -> tuple[tuple[tuple, tuple], ...] | None:
+        # (Gram matrix, digits) of each level of the rest of a basis in the
         # constraint kernel whose Gram matrix is gram
         nonlocal nodes, pairing_rejections, memo_hits
         m = len(gram)
@@ -397,7 +403,7 @@ def search(
                 rest = dfs(_cut(gram, [sum(map(mul, row, digits)) for row in gram], p))
             if rest is not None:
                 pairing_rejections += 0 if first_slot else t - 1 - i
-                return (digits, *rest)
+                return ((gram, digits), *rest)
         pairing_rejections += 0 if first_slot else p ** m - 2 - i
         failed[gram] = (nodes - before[0], pairing_rejections - before[1])
         return None
@@ -407,10 +413,10 @@ def search(
     basis = None
     if path is not None:  # decode the path: x = t . kernel, then cut the kernel by x
         kernel = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        gram, vectors = space.form, []
-        for digits in path:
+        vectors = []
+        for gram, digits in path:
             vectors.append(tuple(sum(map(mul, col, digits)) % p for col in zip(*kernel)))
-            kernel, gram = _restrict(kernel, gram, [sum(map(mul, row, digits)) for row in gram], p)
+            kernel = _restrict(kernel, [sum(map(mul, row, digits)) for row in gram], p)
         basis = tuple(vectors)
     stats = (("placements", nodes), ("pairing_rejections", pairing_rejections),
              ("dependent_rejections", 0), ("memo_hits", memo_hits))

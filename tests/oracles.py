@@ -298,20 +298,18 @@ def first_slot_reference(form, p, dimension, first_slot, key_by_span=False, key_
     def pair(u, v):
         return sum(u[i] * form[i][j] * v[j] for i in range(d) for j in range(d)) % p
 
-    def span(vectors):
-        out = {tuple([0] * d)}
-        for e in vectors:
-            out = {tuple((x + c * y) % p for x, y in zip(v, e)) for v in out for c in range(p)}
-        return frozenset(out)
+    def widen(spanned, e):  # span(placed + [e]) from span(placed)
+        return frozenset(tuple((x + c * y) % p for x, y in zip(v, e)) for v in spanned for c in range(p))
 
     failed = {}
     counts = [0, 0, 0, 0]  # placements, pairing, dependent, memo hits
+    norm = {x: pair(x, x) for x in everything}
 
-    def walk(chosen):
+    # orthogonal: the nonzero vectors orthogonal to every placed vector;
+    # spanned: the span of the placed vectors
+    def walk(chosen, orthogonal, spanned):
         if len(chosen) == d:
             return tuple(chosen)
-        orthogonal = [x for x in everything if all(pair(x, e) == 0 for e in chosen)]
-        spanned = span(chosen)
         if key_by_gram:
             rows = [[sum(a * b for a, b in zip(row, x)) for row in form] for x in chosen]
             basis = _kernel(rows, p, d)
@@ -325,19 +323,20 @@ def first_slot_reference(form, p, dimension, first_slot, key_by_span=False, key_
             return None
         before = counts[:3]
         for x in first_slot if not chosen else orthogonal:
-            if pair(x, x) != 1:
+            if norm[x] != 1:
                 counts[1] += 1
             elif x in spanned:
                 counts[2] += 1
             else:
                 counts[0] += 1
-                found = walk(chosen + [x])
+                found = walk(chosen + [x], [y for y in orthogonal if pair(y, x) == 0],
+                             widen(spanned, x))
                 if found is not None:
                     return found
         failed[key] = tuple(n - b for n, b in zip(counts, before))
         return None
 
-    basis = walk([])
+    basis = walk([], everything, frozenset([tuple([0] * d)]))
     return (basis, *counts)
 
 

@@ -14,7 +14,7 @@ from semiortho import (
     wilson_fourfold,
 )
 from semiortho.exactmat import _code_action, rref
-from semiortho.sonb import _restrict, _roots, vector_code
+from semiortho.sonb import _cut, _restrict, _roots, vector_code
 
 from oracles import cofactor_determinant, random_int_valued_poly
 
@@ -163,7 +163,7 @@ def test_rref_rank_and_nullspace_match_minor_oracle(p):
                 basis, gram = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), form
                 for w in rows:
                     c = [sum(a * b for a, b in zip(w, v)) for v in basis]
-                    basis, gram = _restrict(basis, gram, c, p)
+                    basis, gram = _restrict(basis, c, p), _cut(gram, c, p)
                 assert len(basis) == n - rank
                 assert all(sum(a * b for a, b in zip(w, v)) % p == 0
                            for v in basis for w in rows)

@@ -8,7 +8,7 @@ and verifies the headline computations end to end.
 """
 
 from .intpoly import IntValuedPolynomial
-from .exactmat import ExactMatrix, matrix_order, lattice_index_squared
+from .exactmat import ExactMatrix, matrix_order
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
 from .eulerform import (
     EQUIVARIANT_ROWS,
@@ -16,8 +16,6 @@ from .eulerform import (
     GramMatrix,
     HilbertProfile,
     SerreOperator,
-    chern_identity,
-    conjugacy_class_count,
     equivariant_count_check,
     fake_projective_space,
     gram_from_twists,
@@ -44,7 +42,6 @@ from .sonb import (
 from .lefschetz import (
     FixedPointDatum,
     SectionBoundDeduction,
-    TwistTraceTable,
     canonical_trace,
     conjugate_branch,
     default_branch,
@@ -66,9 +63,9 @@ from .reptheory import (
     character_table,
     classify_h0,
     class_sizes,
+    conjugacy_class_count,
     conjugacy_classes,
     decompose,
-    faithful_two_dim_rep_exists,
     inner_product,
     irrep_dimensions,
     irreducible,
@@ -79,7 +76,6 @@ from .atlas import (
     FPPRecord,
     k_phantom_eligible,
     k_phantom_pairs,
-    load_default,
     load_records,
     dump_records,
     query_aut,

@@ -255,7 +255,3 @@ def default_dataset_path() -> Path:
     if override:
         return Path(override)
     return Path(__file__).parent / "data" / "fpp_atlas.csv"
-
-
-def load_default() -> tuple[FPPRecord, ...]:
-    return load_records(default_dataset_path())

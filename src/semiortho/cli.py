@@ -6,9 +6,10 @@ identical inputs and flags, in either human-readable text or line-oriented
 ``key=value`` machine form.  The process exits 0 exactly when every check
 in the report passed, 1 when a check failed, 2 on a usage or data error:
 also any ValueError the library raises on the data it is given, and an option
-the mode would ignore (sonb --matrix with --profile, --poly or --twists; sonb
---verify-basis with --symmetry serre; decompose --chi with --regular; atlas
---count or --verify with each other, --aut, --three-torsion-free, --k-phantom).
+the mode would ignore (detcheck --sample with --profile or --poly; sonb
+--matrix with --profile, --poly or --twists; sonb --verify-basis with
+--symmetry serre; decompose --chi with --regular; atlas --count or --verify
+with each other, --aut, --three-torsion-free, --k-phantom).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .eulerform import (
     EQUIVARIANT_ROWS,
     GramMatrix,
     HilbertProfile,
-    conjugacy_class_count,
     equivariant_count_check,
     fake_projective_space,
     gram_from_twists,
@@ -53,6 +53,7 @@ from .reptheory import (
     character_table,
     classify_h0,
     class_sizes,
+    conjugacy_class_count,
     conjugacy_classes,
     decompose,
     inner_product,
@@ -265,7 +266,7 @@ def _solution_set(report: Report) -> None:
 def _exponents(report: Report, datum, expected_canonical) -> tuple[int, ...]:
     """Record canonical and twist exponents, check the canonical ones; return the twist ones."""
     canon = canonical_trace(datum)
-    twists = twist_traces(datum).exponents
+    twists = twist_traces(datum)
     report.add_record("canonical_exponents", ",".join(str(c) for c in canon))
     report.add_record("twist_exponents", ",".join(str(t) for t in twists))
     report.add_check("canonical_exponents", canon == expected_canonical)
@@ -318,6 +319,7 @@ def cmd_gram(args) -> Report:
 
 def cmd_detcheck(args) -> Report:
     report = Report("detcheck")
+    _exclude(args, "sample", "profile", "poly")
     if args.sample < 0:
         raise CliError("--sample must be nonnegative")
     if args.sample and args.max_degree < 1:

@@ -26,11 +26,6 @@ from operator import index
 from .intpoly import _common_denominator, _lowest_terms
 
 
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 def _conductor(n) -> int:
     """n as an int (``operator.index``: a float or a string raises TypeError), n > 0."""
     n = index(n)

@@ -24,7 +24,6 @@ from math import factorial
 
 from .exactmat import ExactMatrix, is_prime
 from .intpoly import IntValuedPolynomial
-from .reptheory import conjugacy_classes
 
 
 @dataclass(frozen=True)
@@ -163,15 +162,6 @@ def numerically_exceptional(gram: GramMatrix) -> bool:
     return all(rows[i][j] == (i == j) for i in range(gram.size) for j in range(i + 1))
 
 
-def chern_identity(n: int) -> int:
-    """The Chern number c_1 c_(n-1) forced by projective-space Hodge data."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    v = n * (n + 1) ** 2
-    assert v % 2 == 0
-    return v // 2
-
-
 # -- equivariant Hochschild counting ---------------------------------------
 
 @dataclass(frozen=True)
@@ -208,22 +198,6 @@ EQUIVARIANT_ROWS: tuple[EquivariantRow, ...] = (
 def equivariant_count_check(row: EquivariantRow) -> bool:
     """3 * #irreducibles == euler characteristic of resolution + r_g."""
     return 3 * row.irrep_count == row.euler_char + row.r_g
-
-
-def conjugacy_class_count(group: str) -> int:
-    """Number of conjugacy classes of an equivariant row's group, from the group.
-
-    G21's classes come from conjugation-orbit enumeration.  The trivial group
-    and Z/k are abelian, so every element is its own class and the count is
-    the group order.
-    """
-    if group == "G21":
-        return len(conjugacy_classes())
-    if group == "1":
-        return 1
-    if group.startswith("Z/"):
-        return int(group[2:])
-    raise ValueError(f"no conjugacy class count for group {group!r}")
 
 
 def orbifold_hh_dimension(conjugacy_class_count: int) -> int:

@@ -67,9 +67,6 @@ class ExactMatrix:
     def size(self) -> int:
         return len(self._num)
 
-    def is_integer(self) -> bool:
-        return self._den == 1
-
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """Entries as plain ints; requires denominator-free entries."""
         if self._den != 1:
@@ -118,9 +115,6 @@ class ExactMatrix:
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return ExactMatrix([[x * den for x in r[n:]] for r in reduced], self.modulus)
-
-    def is_identity(self) -> bool:
-        return self == ExactMatrix.identity(self.size, self.modulus)
 
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in r) for r in self.rows)
@@ -271,21 +265,3 @@ def matrix_order(matrix: ExactMatrix, bound: int | None = None) -> int | None:
             x, length = step(x), length + 1
         order = lcm(order, length)
     return order if order <= bound else None
-
-
-def lattice_index_squared(gram: ExactMatrix) -> int | None:
-    """Integer square root of |det| for an integer Gram matrix.
-
-    A rank-n sublattice of a unimodular lattice with index m has Gram
-    determinant +-m**2, so the return value is the candidate index of the
-    unimodular overlattice.  Returns None when |det| is not a perfect
-    square (no unimodular overlattice basis change can exist).
-    """
-    if gram.modulus != 0 or not gram.is_integer():
-        raise ValueError("lattice index requires an integer Gram matrix")
-    d = gram.determinant()
-    if d == 0:
-        raise ValueError("Gram matrix is singular")
-    a = abs(int(d))
-    r = isqrt(a)
-    return r if r * r == a else None

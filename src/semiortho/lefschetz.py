@@ -20,7 +20,7 @@ power, t_i = 5 (a_i + b_i) mod 7 (5 being the inverse of 3 mod 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, root_of_unity
@@ -51,16 +51,6 @@ class FixedPointDatum:
         a %= 7
         b %= 7
         return cls(((a, b), (2 * a % 7, 2 * b % 7), (4 * a % 7, 4 * b % 7)))
-
-    def normalized(self) -> "FixedPointDatum":
-        """Rotate the numbering so the first unordered pair is lexicographically least."""
-        best = min(range(3), key=lambda i: tuple(sorted(self.exponent_pairs[i])))
-        rotated = self.exponent_pairs[best:] + self.exponent_pairs[:best]
-        return FixedPointDatum(tuple(rotated))
-
-    def conjugate(self) -> "FixedPointDatum":
-        a, b = self.exponent_pairs[0]
-        return FixedPointDatum.from_first_pair(-a % 7, -b % 7)
 
 
 def default_branch() -> FixedPointDatum:
@@ -103,24 +93,10 @@ def canonical_trace(datum: FixedPointDatum) -> tuple[int, int, int]:
     return tuple((a + b) % 7 for a, b in datum.exponent_pairs)
 
 
-@dataclass(frozen=True)
-class TwistTraceTable:
+def twist_traces(datum: FixedPointDatum) -> tuple[int, int, int]:
     """Per-point exponents t_i with trace on the k-th twist = zeta^(k t_i),
     derived from the datum: t_i = 5 (a_i + b_i), so 3 t_i = a_i + b_i mod 7."""
-
-    datum: FixedPointDatum
-    exponents: tuple[int, int, int] = field(init=False)
-
-    def __post_init__(self):
-        exponents = tuple(5 * c % 7 for c in canonical_trace(self.datum))
-        object.__setattr__(self, "exponents", exponents)
-
-    def trace_exponent(self, point: int, k: int) -> int:
-        return (k * self.exponents[point]) % 7
-
-
-def twist_traces(datum: FixedPointDatum) -> TwistTraceTable:
-    return TwistTraceTable(datum)
+    return tuple(5 * c % 7 for c in canonical_trace(datum))
 
 
 def h0_trace(datum: FixedPointDatum, k: int) -> Cyclotomic:
@@ -129,10 +105,9 @@ def h0_trace(datum: FixedPointDatum, k: int) -> Cyclotomic:
     Computed as the exact fixed-point sum; when higher cohomology of the
     twist vanishes this is the trace on global sections.
     """
-    table = twist_traces(datum)
     total = Cyclotomic.zero(_CONDUCTOR)
-    for i, (a, b) in enumerate(datum.exponent_pairs):
-        num = root_of_unity(_CONDUCTOR, table.trace_exponent(i, k))
+    for (a, b), t in zip(datum.exponent_pairs, twist_traces(datum)):
+        num = root_of_unity(_CONDUCTOR, k * t % 7)
         total = total + _local_term(a, b, num)
     return total
 

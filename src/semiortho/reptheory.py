@@ -61,14 +61,6 @@ class GroupElement:
             acc = acc * self
         return acc
 
-    def order(self) -> int:
-        acc = self
-        k = 1
-        while acc != IDENTITY:
-            acc = acc * self
-            k += 1
-        return k
-
     def conjugate_by(self, g: "GroupElement") -> "GroupElement":
         return g * self * g.inverse()
 
@@ -114,8 +106,20 @@ def conjugacy_classes() -> tuple[tuple[GroupElement, int], ...]:
     return tuple((c, found[c]) for c in canonical)
 
 
-def conjugacy_class_of(element: GroupElement) -> frozenset[GroupElement]:
-    return frozenset(element.conjugate_by(g) for g in all_elements())
+def conjugacy_class_count(group: str) -> int:
+    """Number of conjugacy classes of an equivariant row's group, from the group.
+
+    G21's classes come from conjugation-orbit enumeration.  The trivial group
+    and Z/k are abelian, so every element is its own class and the count is
+    the group order.
+    """
+    if group == "G21":
+        return len(conjugacy_classes())
+    if group == "1":
+        return 1
+    if group.startswith("Z/"):
+        return int(group[2:])
+    raise ValueError(f"no conjugacy class count for group {group!r}")
 
 
 def class_sizes() -> tuple[int, ...]:
@@ -135,16 +139,6 @@ def irrep_dimensions() -> tuple[int, ...]:
     if len(candidates) != 1:
         raise AssertionError(f"dimension equation not uniquely solvable: {candidates}")
     return candidates[0]
-
-
-def faithful_two_dim_rep_exists() -> bool:
-    """No faithful 2-dimensional representation exists.
-
-    There is no 2-dimensional irreducible (the dimension tuple has no 2),
-    and any sum of two linear characters kills the derived subgroup <s>,
-    so it cannot be faithful either.
-    """
-    return 2 in irrep_dimensions()
 
 
 # -- characters --------------------------------------------------------------

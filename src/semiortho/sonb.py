@@ -118,26 +118,13 @@ def vector_code(vector, p: int) -> int:
     return code
 
 
-def vector_from_code(code: int, p: int, dimension: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(dimension):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """All self-pairing-one vectors of a space in canonical order, and their codes."""
 
     space: FormSpace
     vectors: tuple[tuple[int, ...], ...]
-    codes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.codes is None:  # vectors given without their codes
-            codes = tuple(vector_code(v, self.space.modulus) for v in self.vectors)
-            object.__setattr__(self, "codes", codes)
+    codes: tuple[int, ...]
 
     def __len__(self):
         return len(self.vectors)
@@ -273,9 +260,6 @@ class SearchResult:
     @property
     def exhausted(self) -> bool:
         return self.basis is None
-
-    def stat(self, key: str) -> int:
-        return dict(self.stats)[key]
 
 
 def _cut(gram, c, p: int):

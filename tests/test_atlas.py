@@ -7,7 +7,6 @@ from semiortho import (
     dump_records,
     k_phantom_eligible,
     k_phantom_pairs,
-    load_default,
     load_records,
     query_aut,
     three_torsion_free,
@@ -16,7 +15,7 @@ from semiortho.atlas import AtlasError, CSV_HEADER, default_dataset_path
 
 
 def test_shipped_dataset_counts():
-    records = load_default()
+    records = load_records(default_dataset_path())
     assert len(records) == 50
     assert sum(2 for _ in records) == 100
 
@@ -30,7 +29,7 @@ def test_empty_input():
 
 
 def test_g21_query():
-    records = load_default()
+    records = load_records(default_dataset_path())
     result = query_aut(records, "G21")
     assert len(result) == 3
     assert result.surface_count == 6
@@ -40,7 +39,7 @@ def test_g21_query():
 
 
 def test_g21_record_homology():
-    records = load_default()
+    records = load_records(default_dataset_path())
     match = [
         r
         for r in records
@@ -54,7 +53,7 @@ def test_g21_record_homology():
 
 def test_unknown_aut_label_rejected():
     with pytest.raises(ValueError):
-        query_aut(load_default(), "Z/9")
+        query_aut(load_records(default_dataset_path()), "Z/9")
 
 
 def test_query_trivial_on_empty_input():
@@ -62,7 +61,7 @@ def test_query_trivial_on_empty_input():
 
 
 def test_z3_squared_rows():
-    records = load_default()
+    records = load_records(default_dataset_path())
     result = query_aut(records, "(Z/3)^2")
     classes = {r.field_or_class for r in result.records}
     assert classes == {"C2", "C18"}
@@ -79,7 +78,7 @@ def test_three_torsion_free():
 
 
 def test_h1_order():
-    records = load_default()
+    records = load_records(default_dataset_path())
     with_torsion = [r for r in records if r.h1 == (2, 3, 4, 4)]
     assert len(with_torsion) == 1
     assert with_torsion[0].h1_order == 96
@@ -87,7 +86,7 @@ def test_h1_order():
 
 
 def test_k_phantom_pairs():
-    records = load_default()
+    records = load_records(default_dataset_path())
     pairs = k_phantom_pairs(records)
     assert len(pairs) == 4
     keys = {(r.field_or_class, r.t1, g) for r, g in pairs}
@@ -100,7 +99,7 @@ def test_k_phantom_pairs():
 
 
 def test_k_phantom_eligibility():
-    records = load_default()
+    records = load_records(default_dataset_path())
     eligible = [
         r
         for r in records
@@ -118,25 +117,25 @@ def test_k_phantom_eligibility():
 
 
 def test_k_phantom_rejects_groups_without_order_seven():
-    record = load_default()[0]
+    record = load_records(default_dataset_path())[0]
     with pytest.raises(ValueError):
         k_phantom_eligible(record, "Z/3")
 
 
 def test_lifts_annotation():
-    records = load_default()
+    records = load_records(default_dataset_path())
     for r in records:
         expected = r.field_or_class not in ("C2", "C18")
         assert r.lifts_su21 is expected
 
 
 def test_round_trip():
-    records = load_default()
+    records = load_records(default_dataset_path())
     assert load_records(dump_records(records)) == records
 
 
 def test_alias_rows():
-    records = load_default()
+    records = load_records(default_dataset_path())
     aliased = [r for r in records if r.t1_alias is not None]
     assert len(aliased) == 3
     assert {r.suffix for r in aliased} == {"b/b", "b/d"}
@@ -145,7 +144,7 @@ def test_alias_rows():
 
 
 def test_opaque_t1_decorations():
-    records = load_default()
+    records = load_records(default_dataset_path())
     labels = {label for r in records for label in r.t1}
     assert {"17-", "3-", "3+"} <= labels
 
@@ -178,10 +177,10 @@ def test_duplicate_keys_rejected():
 
 def test_env_override(monkeypatch, tmp_path):
     target = tmp_path / "alt.csv"
-    target.write_text(dump_records(load_default()[:2]), encoding="utf-8")
+    target.write_text(dump_records(load_records(default_dataset_path())[:2]), encoding="utf-8")
     monkeypatch.setenv("SEMIORTHO_ATLAS", str(target))
     assert default_dataset_path() == target
-    assert len(load_default()) == 2
+    assert len(load_records(default_dataset_path())) == 2
 
 
 def test_missing_file_raises(tmp_path):

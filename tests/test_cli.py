@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import semiortho
-from semiortho import dump_records, load_default
+from semiortho import dump_records, load_records
+from semiortho.atlas import default_dataset_path
 from semiortho.cli import main, parse_polynomial
 
 
@@ -105,6 +106,7 @@ def test_detcheck_profile():
     assert code == 0
     assert "record.determinant=576650390625" in out
     assert "check.determinant_identity=PASS" in out
+    assert run_cli("detcheck", "--sample", "0", "--profile", "wilson", "--format", "machine") == (0, out)
 
 
 def test_detcheck_sample_deterministic():
@@ -314,7 +316,7 @@ def test_atlas_k_phantom():
 
 def test_atlas_data_override(tmp_path):
     alt = tmp_path / "two.csv"
-    alt.write_text(dump_records(load_default()[:2]), encoding="utf-8")
+    alt.write_text(dump_records(load_records(default_dataset_path())[:2]), encoding="utf-8")
     code, out = run_cli("atlas", "--count", "--data", str(alt), "--format", "machine")
     assert code == 0
     assert "record.records=2" in out
@@ -335,7 +337,7 @@ def test_empty_dataset_is_a_data_error(argv, tmp_path, capsys):
 
 def test_reproduce_keum_reads_data(tmp_path):
     alt = tmp_path / "two.csv"
-    alt.write_text(dump_records(load_default()[:2]), encoding="utf-8")
+    alt.write_text(dump_records(load_records(default_dataset_path())[:2]), encoding="utf-8")
     code, out = run_cli("reproduce", "keum", "--data", str(alt), "--format", "machine")
     assert code == 1
     assert f"input.data={alt}\n" in out
@@ -388,6 +390,8 @@ def test_unread_option_is_a_usage_error(argv, capsys):
     (("atlas", "--verify", "--three-torsion-free"),
      "--verify cannot be combined with --three-torsion-free"),
     (("atlas", "--verify", "--k-phantom"), "--verify cannot be combined with --k-phantom"),
+    (("detcheck", "--sample", "3", "--profile", "wilson"), "--sample cannot be combined with --profile"),
+    (("detcheck", "--sample", "3", "--poly", "1,1"), "--sample cannot be combined with --poly"),
 ])
 def test_option_that_the_mode_ignores_is_a_usage_error(argv, err, monkeypatch, capsys):
     # a missing dataset shows that atlas checks its options before loading
@@ -528,7 +532,7 @@ def _fuzz_argv(rng, data_paths):
 
 def test_fuzz_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
     two = tmp_path / "two.csv"
-    two.write_text(dump_records(load_default()[:2]), encoding="utf-8")
+    two.write_text(dump_records(load_records(default_dataset_path())[:2]), encoding="utf-8")
     bad = tmp_path / "bad.csv"
     bad.write_text("not,an,atlas\n", encoding="utf-8")
     data_paths = [str(two), str(bad), str(tmp_path), "/nonexistent.csv"]

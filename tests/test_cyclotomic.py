@@ -10,10 +10,8 @@ from oracles import cyc_inverse, cyc_mul, cyc_reduce, cyc_str, cyc_substitute
 
 
 def rand_elt(rng, n, allow_zero=True):
-    from semiortho.cyclotomic import euler_phi
-
     while True:
-        coeffs = [rng.randrange(-5, 6) for _ in range(euler_phi(n))]
+        coeffs = [rng.randrange(-5, 6) for _ in range(len(cyclotomic_polynomial(n)) - 1)]
         x = Cyclotomic(n, coeffs)
         if allow_zero or not x.is_zero():
             return x

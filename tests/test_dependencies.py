@@ -1,8 +1,10 @@
 """The package runs on the standard library alone: pyproject.toml declares
 no runtime dependency, and every module of src/semiortho imports only
-standard-library modules and semiortho itself.  README's "Library layout"
-table names each of those modules once.  The CLI turns a library ValueError
-into exit 2 in main alone."""
+standard-library modules and semiortho itself.  The arithmetic and search
+layers (polynomials, matrices, Gram matrices, SONB search) load none of
+the cyclotomic, group, fixed-point or atlas modules.  README's "Library
+layout" table names each of those modules once.  The CLI turns a library
+ValueError into exit 2 in main alone."""
 
 import ast
 import re
@@ -34,6 +36,31 @@ def test_imports_name_the_standard_library_or_semiortho():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign
+
+
+def _package_imports(path):
+    """The semiortho modules that one module imports, by stem."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("semiortho."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("semiortho.")}
+    return found
+
+
+def test_search_layers_load_no_field_group_or_atlas_module():
+    src = ROOT / "src" / "semiortho"
+    graph = {path.stem: _package_imports(path) for path in src.glob("*.py")}
+    for start in ("intpoly", "exactmat", "eulerform", "sonb"):
+        reached, todo = set(), [start]
+        while todo:
+            for name in graph[todo.pop()] - reached:
+                reached.add(name)
+                todo.append(name)
+        assert not reached & {"cyclotomic", "reptheory", "lefschetz", "atlas"}, start
 
 
 def test_readme_layout_table_names_every_module():

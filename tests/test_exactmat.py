@@ -8,10 +8,8 @@ from semiortho import (
     ExactMatrix,
     IntValuedPolynomial,
     gram_from_twists,
-    lattice_index_squared,
     matrix_order,
     profile_from_polynomial,
-    wilson_fourfold,
 )
 from semiortho.exactmat import _code_action, rref
 from semiortho.sonb import _cut, _restrict, _roots, vector_code
@@ -111,7 +109,7 @@ def test_matrix_multiplication_and_inverse():
                 with pytest.raises(ValueError):
                     m.inverse()
                 continue
-            assert (m * m.inverse()).is_identity()
+            assert m * m.inverse() == ExactMatrix.identity(n, p)
 
 
 def test_inverse_of_empty_matrix():
@@ -221,7 +219,7 @@ def _check_matrix_order_against_repeated_multiplication(p):
                     m = t * m * t.inverse()
         acc = m
         expected = 1
-        while not acc.is_identity():
+        while acc != ExactMatrix.identity(n, p):
             acc = acc * m
             expected += 1
         assert matrix_order(m, bound=expected) == expected
@@ -279,37 +277,6 @@ def test_matrix_order_requires_bound_in_char_zero():
 def test_matrix_order_rejects_singular():
     with pytest.raises(ValueError):
         matrix_order(ExactMatrix([[0]], 2))
-
-
-def test_lattice_index_unimodular():
-    assert lattice_index_squared(ExactMatrix([[1, 3], [0, 1]])) == 1
-
-
-def test_lattice_index_square_determinants():
-    # per-matrix determinant 225 (the degree value): index 15
-    assert lattice_index_squared(ExactMatrix([[15, 0], [0, 15]])) == 15
-    # degree 9 (a square of a canonical cube root): index 3
-    assert lattice_index_squared(ExactMatrix([[3, 0], [0, 3]])) == 3
-
-
-def test_lattice_index_wilson_gram():
-    # the full 5x5 pairing matrix has determinant 225^5 = (15^5)^2
-    gram = gram_from_twists(wilson_fourfold(), range(5))
-    assert gram.determinant() == 225**5
-    assert lattice_index_squared(gram.base) == 15**5
-
-
-def test_lattice_index_not_a_square():
-    assert lattice_index_squared(ExactMatrix([[2]])) is None
-
-
-def test_lattice_index_errors():
-    with pytest.raises(ValueError):
-        lattice_index_squared(ExactMatrix([[0]]))
-    with pytest.raises(ValueError):
-        lattice_index_squared(ExactMatrix([[1, 0], [0, 1]], 3))
-    with pytest.raises(ValueError):
-        lattice_index_squared(ExactMatrix([[Fraction(1, 2)]]))
 
 
 def test_non_square_rejected():
@@ -400,7 +367,7 @@ def test_rational_matrices_against_fraction_oracles():
         other = tuple(tuple(Fraction(entry()) for _ in range(n)) for _ in range(n))
         assert (m * ExactMatrix(other)).rows == _fraction_product(exact, other)
         if det:
-            assert (m.inverse() * m).is_identity() and (m * m.inverse()).is_identity()
+            assert m.inverse() * m == ExactMatrix.identity(n) == m * m.inverse()
         else:
             singular += 1
             with pytest.raises(ValueError, match="singular"):

@@ -15,7 +15,6 @@ from semiortho import (
     classify_h0,
     conjugacy_classes,
     decompose,
-    faithful_two_dim_rep_exists,
     inner_product,
     irrep_dimensions,
     irreducible,
@@ -24,7 +23,6 @@ from semiortho import (
 )
 from semiortho.reptheory import (
     all_elements,
-    conjugacy_class_of,
     dimension_candidates,
     v3_matrix,
 )
@@ -50,8 +48,8 @@ def test_full_associativity():
 
 
 def test_generator_orders_and_relation():
-    assert SIGMA.order() == 7
-    assert TAU.order() == 3
+    assert [k for k in range(1, 8) if SIGMA**k == IDENTITY] == [7]
+    assert [k for k in range(1, 4) if TAU**k == IDENTITY] == [3]
     assert TAU.inverse() * SIGMA * TAU == SIGMA * SIGMA  # t^-1 s t = s^2
     assert SIGMA * TAU == TAU * SIGMA**2
 
@@ -65,6 +63,9 @@ def test_conjugacy_classes():
 
 
 def test_class_membership():
+    def conjugacy_class_of(element):
+        return {element.conjugate_by(g) for g in all_elements()}
+
     assert conjugacy_class_of(SIGMA) == {SIGMA, SIGMA**2, SIGMA**4}
     assert conjugacy_class_of(IDENTITY) == {IDENTITY}
     assert len(conjugacy_class_of(TAU)) == 7
@@ -211,4 +212,8 @@ def test_three_dim_sigma_traces_never_three():
 
 
 def test_no_faithful_two_dimensional_representation():
-    assert not faithful_two_dim_rep_exists()
+    # no 2-dimensional irreducible, and s lies in the kernel of every
+    # linear character, so no sum of two of them is faithful either
+    assert 2 not in irrep_dimensions()
+    one = Cyclotomic.one(21)
+    assert all(chi.values[1] == one for chi in character_table() if chi.degree == 1)
